@@ -65,6 +65,7 @@ def _write_bench_json(results_dir, name, metrics):
             "duration": DURATION,
             "workers": WORKERS,
         },
+        "host": {"nproc": os.cpu_count()},
         "metrics": _jsonable(dict(metrics or {})),
     }
     save_envelope(_bench_json_path(results_dir, name), "benchmark", payload)

@@ -69,6 +69,22 @@ def test_reassembly_throughput(benchmark):
     assert benchmark(run) == payload
 
 
+def test_codec_decode_throughput(benchmark):
+    """Decode a 1 KiB packet's frames at every Figure-4 identifier size."""
+    payload = bytes(range(256)) * 4
+    cases = []
+    for id_bits in (2, 3, 4, 5, 6, 8, 10):
+        frag = Fragmenter(FragmentCodec(id_bits), mtu_bytes=27)
+        fragments = frag.fragment(payload, identifier=1).fragments
+        frames = [frag.codec.encode(f) for f in fragments]
+        cases.append((frag.codec, frames, fragments))
+
+    def run():
+        return [[codec.decode(f) for f in frames] for codec, frames, _ in cases]
+
+    assert benchmark(run) == [fragments for _, _, fragments in cases]
+
+
 def test_uniform_selector_rate(benchmark):
     selector = UniformSelector(IdentifierSpace(9), random.Random(1))
 

@@ -17,18 +17,22 @@ The design intentionally mirrors the structure of well-known kernels
 
 Determinism guarantees
 ----------------------
-Events scheduled for the same timestamp fire in the order they were
-scheduled (FIFO tie-breaking via a monotonically increasing sequence
-number).  Given identical seeds (:mod:`repro.sim.rng`), a simulation is
-exactly reproducible.
+The event heap holds plain ``(time, tie, seq, handle)`` tuples, so
+events fire in ``(time, tie, seq)`` order.  ``seq`` is a monotonically
+increasing sequence number, unique per event, so the handle is never
+compared and same-time events fire in the order they were scheduled
+(FIFO).  ``tie`` is always 0 in normal operation; under DetSan's tie
+perturber (SAN002) it carries a deterministic pseudo-random rank that
+shuffles same-timestamp events, exposing any code that silently depends
+on FIFO tie-breaking.  Given identical seeds (:mod:`repro.sim.rng`), a
+simulation is exactly reproducible.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..analysis.sanitizer.runtime import active_sanitizer
 from ..obs.metrics import active_metrics
@@ -43,24 +47,6 @@ __all__ = [
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (negative delays, running a closed sim)."""
-
-
-@dataclass(order=True)
-class _QueueEntry:
-    """Internal heap entry.
-
-    Ordering is (time, tie, seq): seq breaks ties FIFO so same-time
-    events run in scheduling order, which keeps runs deterministic.
-    ``tie`` is always 0 in normal operation; under DetSan's tie
-    perturber it carries a deterministic pseudo-random rank that
-    shuffles same-timestamp events, exposing any code that silently
-    depends on FIFO tie-breaking.
-    """
-
-    time: float
-    tie: int
-    seq: int
-    handle: "EventHandle" = field(compare=False)
 
 
 class EventHandle:
@@ -112,7 +98,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._queue: list[_QueueEntry] = []
+        self._queue: List[Tuple[float, int, int, EventHandle]] = []
         self._seq = itertools.count()
         self._running = False
         self._events_processed = 0
@@ -165,14 +151,14 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        handle = EventHandle(self._now + delay, callback, args)
+        time = self._now + delay
+        handle = EventHandle(time, callback, args)
         seq = next(self._seq)
         san = self._sanitizer
         tie = 0
         if san is not None and san.perturb_ties:
-            tie = san.tie_rank(handle.time, seq)
-        entry = _QueueEntry(time=handle.time, tie=tie, seq=seq, handle=handle)
-        heapq.heappush(self._queue, entry)
+            tie = san.tie_rank(time, seq)
+        heapq.heappush(self._queue, (time, tie, seq, handle))
         if self._metrics is not None:
             self._metrics.gauge_max("engine.queue_depth", len(self._queue))
         return handle
@@ -198,14 +184,14 @@ class Simulator:
         bool
             False if the queue was empty (nothing fired), else True.
         """
-        while self._queue:
-            entry = heapq.heappop(self._queue)
-            handle = entry.handle
+        queue = self._queue
+        while queue:
+            time, _tie, _seq, handle = heapq.heappop(queue)
             if handle.cancelled:
                 continue
-            if entry.time < self._now:  # pragma: no cover - defensive
+            if time < self._now:  # pragma: no cover - defensive
                 raise SimulationError("event queue time went backwards")
-            self._now = entry.time
+            self._now = time
             handle.cancelled = True  # mark as fired; no longer cancellable
             self._events_processed += 1
             if self._metrics is not None:
@@ -264,8 +250,7 @@ class Simulator:
                 if until is not None and next_time > until:
                     self._now = max(self._now, until)
                     break
-                if not self.step():
-                    break
+                self.step()
                 fired += 1
                 if max_events is not None and fired >= max_events:
                     break
@@ -278,18 +263,19 @@ class Simulator:
 
     def _peek_time(self) -> Optional[float]:
         """Timestamp of the next live event, discarding cancelled ones."""
-        while self._queue:
-            entry = self._queue[0]
-            if entry.handle.cancelled:
-                heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            head = queue[0]
+            if head[3].cancelled:
+                heapq.heappop(queue)
                 continue
-            return entry.time
+            return head[0]
         return None
 
     @property
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return sum(1 for e in self._queue if not e.handle.cancelled)
+        return sum(1 for entry in self._queue if not entry[3].cancelled)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -5,6 +5,13 @@ The paper's whole argument is about *bits*: a 9-bit AFF identifier vs a
 savings away, so the AFF wire format bit-packs its headers.
 :class:`BitWriter` and :class:`BitReader` provide MSB-first bit streams
 over bytes, with explicit padding on flush.
+
+Both work on whole words rather than bit chunks.  The writer keeps the
+stream as one integer and appends a field with a shift and an OR;
+``write_bytes`` is a single wide ``write``.  The reader converts its
+input to one integer once, so ``read`` is a bounds check plus one
+shift-and-mask, and ``read_bytes`` slices the input when the cursor is
+byte-aligned.  A read that fails consumes nothing.
 """
 
 from __future__ import annotations
@@ -24,38 +31,27 @@ class BitWriter:
     """
 
     def __init__(self) -> None:
-        self._buffer = bytearray()
         self._accum = 0
-        self._accum_bits = 0
         self.bits_written = 0
 
     def write(self, value: int, bits: int) -> "BitWriter":
         """Append ``bits`` bits of ``value`` (must fit)."""
         if bits < 0:
             raise BitstreamError("bit count must be >= 0")
-        if value < 0 or (bits < 63 and value >= (1 << bits)):
+        if value < 0 or value >> bits:
             raise BitstreamError(f"value {value} does not fit in {bits} bits")
         self._accum = (self._accum << bits) | value
-        self._accum_bits += bits
         self.bits_written += bits
-        while self._accum_bits >= 8:
-            self._accum_bits -= 8
-            self._buffer.append((self._accum >> self._accum_bits) & 0xFF)
-        self._accum &= (1 << self._accum_bits) - 1
         return self
 
     def write_bytes(self, data: bytes) -> "BitWriter":
         """Append whole bytes (8 bits each, preserving bit alignment)."""
-        for byte in data:
-            self.write(byte, 8)
-        return self
+        return self.write(int.from_bytes(data, "big"), 8 * len(data))
 
     def getvalue(self) -> bytes:
         """The packed bytes, final partial byte zero-padded on the right."""
-        out = bytes(self._buffer)
-        if self._accum_bits:
-            out += bytes([(self._accum << (8 - self._accum_bits)) & 0xFF])
-        return out
+        pad = -self.bits_written % 8
+        return (self._accum << pad).to_bytes((self.bits_written + pad) // 8, "big")
 
 
 class BitReader:
@@ -63,34 +59,31 @@ class BitReader:
 
     def __init__(self, data: bytes):
         self._data = data
+        self._word = int.from_bytes(data, "big")
+        self._size = 8 * len(data)
         self._bit_pos = 0
 
     @property
     def bits_remaining(self) -> int:
-        return 8 * len(self._data) - self._bit_pos
+        return self._size - self._bit_pos
 
     def read(self, bits: int) -> int:
         """Read ``bits`` bits as an unsigned integer."""
         if bits < 0:
             raise BitstreamError("bit count must be >= 0")
-        if bits > self.bits_remaining:
+        end = self._bit_pos + bits
+        if end > self._size:
             raise BitstreamError(
                 f"read of {bits} bits with only {self.bits_remaining} remaining"
             )
-        value = 0
-        remaining = bits
-        while remaining > 0:
-            byte_index, bit_offset = divmod(self._bit_pos, 8)
-            available = 8 - bit_offset
-            take = min(available, remaining)
-            chunk = self._data[byte_index]
-            chunk >>= available - take
-            chunk &= (1 << take) - 1
-            value = (value << take) | chunk
-            self._bit_pos += take
-            remaining -= take
-        return value
+        self._bit_pos = end
+        return (self._word >> (self._size - end)) & ((1 << bits) - 1)
 
     def read_bytes(self, count: int) -> bytes:
-        """Read ``count`` whole bytes."""
-        return bytes(self.read(8) for _ in range(count))
+        """Read ``count`` whole bytes (none when ``count`` is negative)."""
+        count = max(count, 0)
+        start, offset = divmod(self._bit_pos, 8)
+        if offset:
+            return self.read(8 * count).to_bytes(count, "big")
+        self.read(8 * count)
+        return bytes(self._data[start : start + count])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.sanitizer.runtime import DetSanContext, sanitizing
 from repro.sim.engine import SimulationError, Simulator
 
 
@@ -205,3 +206,76 @@ class TestRunLoop:
             sim.schedule(delay, lambda: observed.append(sim.now))
         sim.run()
         assert observed == sorted(observed)
+
+
+class TestSameTimestampQueue:
+    """The heap's ``(time, tie, seq)`` order over many equal timestamps."""
+
+    N = 1200
+
+    def _schedule_batch(self, sim, fired, time=1.0):
+        handles = [sim.schedule(time, fired.append, tag) for tag in range(self.N)]
+        cancelled = set(range(0, self.N, 7))
+        for tag in cancelled:
+            handles[tag].cancel()
+        return [tag for tag in range(self.N) if tag not in cancelled]
+
+    def test_fifo_order_with_cancellations(self):
+        sim = Simulator()
+        fired = []
+        live = self._schedule_batch(sim, fired)
+        assert sim.pending == len(live)
+        sim.run()
+        assert fired == live
+        assert sim.pending == 0
+        assert sim.events_processed == len(live)
+
+    def test_run_until_skips_cancelled_heads(self):
+        sim = Simulator()
+        early, fired = [], []
+        for tag in range(self.N):
+            sim.schedule(0.5, early.append, tag).cancel()
+        live = self._schedule_batch(sim, fired)
+        for tag in range(self.N):
+            sim.schedule(1.5, fired.append, tag).cancel()
+        late = sim.schedule(5.0, fired.append, "late")
+        assert sim.pending == len(live) + 1
+        assert sim.run(until=2.0) == 2.0
+        assert early == []
+        assert fired == live
+        assert sim.pending == 1
+        late.cancel()
+        assert sim.pending == 0
+
+    def test_max_events_stops_inside_a_tie_run(self):
+        sim = Simulator()
+        fired = []
+        live = self._schedule_batch(sim, fired)
+        sim.run(max_events=500)
+        assert fired == live[:500]
+        assert sim.pending == len(live) - 500
+        sim.run()
+        assert fired == live
+
+    def test_perturbed_ties_give_one_reproducible_permutation(self):
+        def run_once():
+            fired = []
+            with sanitizing(DetSanContext(seed=11, perturb_ties=True)):
+                sim = Simulator()
+                live = self._schedule_batch(sim, fired)
+                sim.run()
+            return live, fired
+
+        live, first = run_once()
+        assert sorted(first) == live
+        assert first != live
+        assert run_once()[1] == first
+
+    def test_perturbed_ties_never_reorder_distinct_times(self):
+        fired = []
+        with sanitizing(DetSanContext(seed=11, perturb_ties=True)):
+            sim = Simulator()
+            for tag in range(200):
+                sim.schedule(float(tag % 10), fired.append, (tag % 10, tag))
+            sim.run()
+        assert [time for time, _tag in fired] == sorted(t for t, _ in fired)
