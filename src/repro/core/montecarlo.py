@@ -8,21 +8,26 @@ the paper's model uses ("unique with respect to all other transactions
 mixed-duration extension (:func:`repro.core.model.p_success_mixed`)
 against brute-force truth.
 
-Two execution strategies share one event core:
+Two execution strategies share one event core, the batch kernels
+:func:`_collision_flags` and :func:`_measured_density`.  Every arrival
+has a fresh owner and a full-mesh audience, so whether a transaction
+collides depends only on the start and end times of the transactions
+sharing its identifier; the kernels compute every flag and the
+time-weighted density with a few NumPy sorts and scans instead of one
+:class:`~repro.core.transactions.TransactionLog` entry per arrival.
 
-* ``shards=1`` (default) replays the whole horizon in-process with a
-  single merge of the time-ordered arrival stream against a min-heap of
-  pending end events — no materialised begin/end stream, no global
-  sort.  It is bit-for-bit identical to the historical
+* ``shards=1`` (default) generates the whole horizon in-process and runs
+  the kernels once.  It is bit-for-bit identical to the historical
   build-list/double/sort pipeline (kept as
   :func:`_simulate_collision_rate_reference` for equivalence tests and
   benchmarking).
 * ``shards=N`` splits ``[0, horizon)`` into ``N`` time segments, each
   generating arrivals from an independent stream seeded with
-  ``derive_seed(seed, f"segment:{i}")`` and replaying locally; the
-  parent then stitches segment boundaries by replaying every carried
-  (boundary-crossing) transaction against later segments' arrivals, so
-  cross-boundary collisions are counted exactly once.  Results are a
+  ``derive_seed(seed, f"segment:{i}")`` and flagging locally; the
+  parent then stitches segment boundaries by matching every carried
+  (boundary-crossing) transaction against the prefix of later segments'
+  arrivals that begin while it is open, so cross-boundary collisions are
+  counted exactly once.  Results are a
   pure function of ``(seed, shards)``; segments fan out across a
   :class:`repro.exec.TrialRunner`'s workers when one is passed.
 
@@ -33,19 +38,22 @@ from __future__ import annotations
 
 import base64
 import bisect
-import heapq
 import math
 import pathlib
 import random
-import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..obs.spans import span
 from ..sim.rng import fallback_stream
 from ..sim.trace import TraceRecord
 from .identifiers import IdentifierSpace
 from .transactions import TransactionLog
+
+if TYPE_CHECKING:  # numpy.typing costs import time; annotations only
+    from numpy.typing import ArrayLike
 
 __all__ = [
     "ExponentialDuration",
@@ -124,51 +132,65 @@ def _generate_arrivals(
     return starts, durations
 
 
-def _replay(
-    starts: Sequence[float],
-    durations: Sequence[float],
-    identifiers: Sequence[int],
-    log: TransactionLog,
-    warmup: float,
-) -> list:
-    """Replay arrivals against ``log``: the fast event core.
+def _collision_flags(
+    starts: ArrayLike, durations: ArrayLike, identifiers: ArrayLike
+) -> np.ndarray:
+    """One collision flag per arrival: the batch event core.
 
-    A single merge of the (already time-ordered) arrival stream against
-    a min-heap of pending end events.  Ends at exactly a begin's
-    timestamp are processed first — a finished transaction no longer
-    contends — and end-time ties break by arrival order, matching the
-    stable ``(time, kind)`` sort of the historical pipeline.  Collision
-    detection itself stays in :meth:`TransactionLog.begin`, whose
-    open-by-identifier index makes each begin O(open transactions with
-    that identifier).
+    ``starts`` must be in arrival order (non-decreasing).  Every arrival
+    has a fresh owner and a full-mesh audience, so arrivals ``j < k``
+    collide iff they share an identifier and ``j`` is still open when
+    ``k`` begins: ``start_j + duration_j > start_k``.  An end at exactly
+    a begin's timestamp does not contend.
 
-    Returns the transactions that started at or after ``warmup``.
+    A stable sort groups arrivals by identifier, keeping arrival order
+    inside a group.  A transaction collides with a later one iff its end
+    passes the next same-identifier start, and with an earlier one iff
+    the group's running maximum end passes its own start.  The running
+    maximum is taken over integer ranks of the times, offset per group,
+    so it compares exactly the floats the comparison would.
     """
-    tracked = []
-    track = tracked.append
-    pending: List[tuple] = []  # (end_time, arrival_seq, txn)
-    push, pop = heapq.heappush, heapq.heappop
-    begin, end = log.begin, log.end
-    inf = float("inf")
-    next_end = inf  # cached pending[0][0]: one float compare per arrival
-    seq = 0
-    for when, duration, ident in zip(starts, durations, identifiers):
-        while next_end <= when:
-            ended = pop(pending)
-            end(ended[2], ended[0])
-            next_end = pending[0][0] if pending else inf
-        txn = begin(seq, ident, when)
-        ends_at = when + duration
-        push(pending, (ends_at, seq, txn))
-        if ends_at < next_end:
-            next_end = ends_at
-        if when >= warmup:
-            track(txn)
-        seq += 1
-    while pending:
-        ended = pop(pending)
-        end(ended[2], ended[0])
-    return tracked
+    begin = np.asarray(starts, dtype=np.float64)
+    n = len(begin)
+    if n == 0:
+        return np.zeros(0, dtype=bool)
+    ident = np.asarray(identifiers, dtype=np.int64)
+    order = np.argsort(ident, kind="stable")
+    ident = ident[order]
+    begin = begin[order]
+    end = begin + np.asarray(durations, dtype=np.float64)[order]
+    same = ident[1:] == ident[:-1]  # neighbours in one identifier group
+    flags = np.zeros(n, dtype=bool)
+    flags[:-1] = same & (end[:-1] > begin[1:])
+    _, ranks = np.unique(np.concatenate((end, begin)), return_inverse=True)
+    offset = np.concatenate(([0], np.cumsum(~same))) * (2 * n)
+    running = np.maximum.accumulate(ranks[:n] + offset)
+    flags[1:] |= same & (running[:-1] > ranks[n + 1:] + offset[1:])
+    out = np.empty(n, dtype=bool)
+    out[order] = flags
+    return out
+
+
+def _measured_density(starts: ArrayLike, durations: ArrayLike) -> float:
+    """Time-weighted mean concurrency over ``[0, last event]``.
+
+    Bit-identical to :class:`repro.sim.monitor.TimeWeightedValue` fed
+    ``+1`` at each begin and ``-1`` at each end in event order: a stable
+    sort of ends-then-begins orders events by time with ends first, and
+    ``np.add.accumulate`` sums the area terms sequentially, rounding in
+    the same order as the ``+=`` loop.
+    """
+    begin = np.asarray(starts, dtype=np.float64)
+    n = len(begin)
+    if n == 0:
+        return 0.0
+    times = np.concatenate((begin + np.asarray(durations, dtype=np.float64), begin))
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    level = np.add.accumulate(np.where(order < n, -1.0, 1.0))
+    area = np.concatenate(([0.0], level[:-1])) * np.diff(times, prepend=0.0)
+    last = float(times[-1])
+    return float(np.add.accumulate(area)[-1]) / last if last > 0 else 0.0
 
 
 def _simulate_collision_rate_reference(
@@ -271,24 +293,20 @@ def _segment_records(
             )
 
 
-def _collision_records(
-    segments: Sequence[Dict[str, object]]
-) -> Iterator[TraceRecord]:
-    """``txn.collision`` records for every flagged transaction.
+def _collision_records(segments: Iterable[tuple]) -> Iterator[TraceRecord]:
+    """``txn.collision`` records for each ``(starts, identifiers, flagged)`` segment.
 
     Emitted from the parent's post-stitch flag sets (local flags plus
     cross-boundary ones), in (segment, index) order — which is also
     time order, since segment windows and within-segment starts both
     ascend.
     """
-    for index, segment in enumerate(segments):
-        starts = segment["starts"]
-        identifiers = segment["identifiers"]
-        for k in sorted(segment["flagged"]):  # type: ignore[arg-type]
+    for index, (starts, identifiers, flagged) in enumerate(segments):
+        for k in sorted(flagged):
             yield TraceRecord(
-                starts[k],  # type: ignore[index]
+                float(starts[k]),
                 "txn.collision",
-                {"segment": index, "owner": k, "id": identifiers[k]},  # type: ignore[index]
+                {"segment": index, "owner": k, "id": int(identifiers[k])},
             )
 
 
@@ -337,21 +355,45 @@ def _trace_meta(
 # ----------------------------------------------------------------------
 # Horizon sharding
 # ----------------------------------------------------------------------
-def _pack_floats(values: Sequence[float]) -> str:
-    """Exact, compact transport form of a float list (base64 of f64le).
+def _pack(values: np.ndarray) -> str:
+    """Exact, compact transport form of an array (base64 of its bytes).
 
     Segments return tens of thousands of timestamps; packing them as
     one string keeps the canonical-JSON transport but makes its cost
-    per-array instead of per-element — and IEEE doubles round-trip
-    bit-exactly, which per-element JSON also guarantees but much more
-    slowly.
+    per-array instead of per-element, and IEEE doubles round-trip
+    bit-exactly.
     """
-    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+    return base64.b64encode(values.tobytes()).decode("ascii")
 
 
-def _unpack_floats(blob: str) -> List[float]:
-    raw = base64.b64decode(blob.encode("ascii"))
-    return list(struct.unpack(f"<{len(raw) // 8}d", raw))
+def _unpack(blob: str, dtype: str, count: int) -> np.ndarray:
+    """The first ``count`` values of a packed array, decoding only those."""
+    size = np.dtype(dtype).itemsize * count
+    return np.frombuffer(base64.b64decode(blob[: -(-size // 3) * 4])[:size], dtype=dtype)
+
+
+def _id_dtype(id_bits: int) -> str:
+    """Packed identifier width: every byte shipped is JSON-encoded twice."""
+    return "<u2" if id_bits <= 16 else "<u8"
+
+
+def _head(segment: Dict[str, object], until: float, id_dtype: str) -> Tuple[np.ndarray, np.ndarray]:
+    """Starts and identifiers of a packed segment's arrivals before ``until``.
+
+    Decodes a growing prefix of the start times until it reaches
+    ``until``.  The stitch and the warmup cut need only the arrivals
+    near a segment's lower cut, so the parent never decodes the bulk of
+    a segment.
+    """
+    n = int(segment["n"])  # type: ignore[call-overload]
+    count = 48
+    while True:
+        starts = _unpack(str(segment["starts"]), "<f8", min(count, n))
+        if len(starts) == n or starts[-1] >= until:
+            break
+        count *= 4
+    starts = starts[: np.searchsorted(starts, until)]
+    return starts, _unpack(str(segment["identifiers"]), id_dtype, len(starts))
 
 
 def _segment_bounds(horizon: float, shards: int, index: int) -> Tuple[float, float]:
@@ -393,9 +435,12 @@ def _montecarlo_segment(
         )
         sample = space.sample
         identifiers = [sample(rng) for _ in starts]
-    log = TransactionLog()
+    begin = np.asarray(starts, dtype="<f8")
+    lengths = np.asarray(durations, dtype=np.float64)
+    ident = np.asarray(identifiers, dtype=_id_dtype(id_bits))
     with span("core.replay"):
-        _replay(starts, durations, identifiers, log, warmup=0.0)
+        flagged = np.flatnonzero(_collision_flags(begin, lengths, ident)).tolist()
+    end = begin + lengths
     if trace_path is not None:
         from ..obs.envelope import write_trace
 
@@ -404,30 +449,19 @@ def _montecarlo_segment(
             _segment_records(starts, durations, identifiers, index),
             meta={"segment": index, "shards": shards},
         )
-    flagged = [
-        seq for seq, txn in enumerate(log.transactions) if log.collided(txn)
-    ]
-    ends = [starts[seq] + durations[seq] for seq in range(len(starts))]
     # Everything O(n) that the parent would otherwise do per segment is
     # done here, where segments run in parallel: the boundary-crossing
     # tail scan and the density aggregates.  Only the (small) tails and
     # the packed arrays the stitch scan needs travel back.
+    ends = end.tolist()
     tails = [
         [ends[seq], identifiers[seq], seq]
-        for seq in range(len(starts))
-        if ends[seq] > hi
+        for seq in np.flatnonzero(end > hi).tolist()
     ]
-    packed_ids: object
-    if id_bits <= 64:
-        packed_ids = base64.b64encode(
-            struct.pack(f"<{len(identifiers)}Q", *identifiers)
-        ).decode("ascii")
-    else:  # pragma: no cover - identifier spaces past 64 bits
-        packed_ids = list(identifiers)
     return {
         "n": len(starts),
-        "starts": _pack_floats(starts),
-        "identifiers": packed_ids,
+        "starts": _pack(begin),
+        "identifiers": _pack(ident),
         "flagged": flagged,
         "tails": tails,
         "sum_duration": sum(ends) - sum(starts),
@@ -435,23 +469,7 @@ def _montecarlo_segment(
     }
 
 
-def _unpack_segment(value: Dict[str, object]) -> Dict[str, object]:
-    """Decode a segment summary back into plain Python arrays."""
-    identifiers = value["identifiers"]
-    if isinstance(identifiers, str):
-        raw = base64.b64decode(identifiers.encode("ascii"))
-        identifiers = list(struct.unpack(f"<{len(raw) // 8}Q", raw))
-    return {
-        "starts": _unpack_floats(value["starts"]),  # type: ignore[arg-type]
-        "identifiers": identifiers,
-        "flagged": set(value["flagged"]),  # type: ignore[arg-type]
-        "tails": value["tails"],
-        "sum_duration": value["sum_duration"],
-        "max_end": value["max_end"],
-    }
-
-
-def _stitch_segments(segments: List[Dict[str, object]], cuts: Sequence[float]) -> None:
+def _stitch_segments(segments: List[Dict[str, object]], cuts: Sequence[float], id_dtype: str) -> None:
     """Flag cross-boundary collisions, mutating segment ``flagged`` sets.
 
     The boundary-stitch rule: every transaction still open at a cut is
@@ -469,23 +487,18 @@ def _stitch_segments(segments: List[Dict[str, object]], cuts: Sequence[float]) -
     cut between their segments (so the earlier one is in the carry set
     when the later one begins).
     """
-    live: List[tuple] = []  # (end, identifier, segment, index), heap by end
+    live: List[tuple] = []  # (end, identifier, segment, index)
     for seg_index, segment in enumerate(segments):
-        starts = segment["starts"]
-        identifiers = segment["identifiers"]
-        flagged = segment["flagged"]
         if live:
-            for k in range(len(starts)):  # type: ignore[arg-type]
-                when = starts[k]  # type: ignore[index]
-                while live and live[0][0] <= when:
-                    heapq.heappop(live)
-                if not live:
-                    break
-                ident = identifiers[k]  # type: ignore[index]
-                for _, carry_ident, carry_seg, carry_idx in live:
-                    if carry_ident == ident:
-                        segments[carry_seg]["flagged"].add(carry_idx)  # type: ignore[union-attr]
-                        flagged.add(k)  # type: ignore[union-attr]
+            until = max(carry[0] for carry in live)
+            starts, identifiers = _head(segment, until, id_dtype)
+        for end, ident, carry_seg, carry_idx in live:
+            # Arrivals that begin while the carry is open: a prefix.
+            opened = np.searchsorted(starts, end)
+            hits = np.flatnonzero(identifiers[:opened] == ident)
+            if hits.size:
+                segments[carry_seg]["flagged"].add(carry_idx)  # type: ignore[union-attr]
+                segment["flagged"].update(hits.tolist())  # type: ignore[union-attr]
         if seg_index + 1 < len(segments):
             next_cut = cuts[seg_index + 1]
             live = [carry for carry in live if carry[0] > next_cut]
@@ -494,7 +507,6 @@ def _stitch_segments(segments: List[Dict[str, object]], cuts: Sequence[float]) -
             # O(tail), not O(segment).
             for end, ident, k in segment["tails"]:  # type: ignore[union-attr]
                 live.append((end, ident, seg_index, k))
-            heapq.heapify(live)
 
 
 def _simulate_sharded(
@@ -544,9 +556,13 @@ def _simulate_sharded(
             f"sharded trial lost {len(failed)}/{shards} segments; "
             f"first: {failed[0].render() if failed[0] else 'unknown'}"
         )
-    segments = [_unpack_segment(outcome.value) for outcome in outcomes]
+    segments = [
+        dict(outcome.value, flagged=set(outcome.value["flagged"]))
+        for outcome in outcomes
+    ]
     cuts = [(horizon * index) / shards for index in range(shards + 1)]
-    _stitch_segments(segments, cuts)
+    id_dtype = _id_dtype(id_bits)
+    _stitch_segments(segments, cuts, id_dtype)
     if spool is not None:
         from ..obs.envelope import read_trace
 
@@ -554,7 +570,11 @@ def _simulate_sharded(
             read_trace(spool / f"segment-{index:04d}.jsonl")
             for index in range(shards)
         ]
-        streams.append(_collision_records(segments))
+        streams.append(
+            _collision_records(
+                [(*_head(s, math.inf, id_dtype), s["flagged"]) for s in segments]
+            )
+        )
         _write_merged_trace(
             spool,
             streams,
@@ -578,14 +598,13 @@ def _simulate_sharded(
     duration_sum = 0.0
     last_time = 0.0
     for segment in segments:
-        starts = segment["starts"]
         flagged = segment["flagged"]
-        if not starts:
+        if not segment["n"]:
             continue
         duration_sum += segment["sum_duration"]  # type: ignore[operator]
         last_time = max(last_time, segment["max_end"])  # type: ignore[type-var]
-        first = bisect.bisect_left(starts, warmup) if warmup > 0 else 0
-        tracked += len(starts) - first  # type: ignore[arg-type]
+        first = len(_head(segment, warmup, id_dtype)[0]) if warmup > 0 else 0
+        tracked += segment["n"] - first  # type: ignore[operator]
         if first == 0:
             collided += len(flagged)  # type: ignore[arg-type]
         else:
@@ -690,7 +709,6 @@ def simulate_collision_rate(
             "core.montecarlo"
         )
     space = IdentifierSpace(id_bits)
-    log = TransactionLog()
     with span("core.sample"):
         starts, durations = _generate_arrivals(
             arrival_rate, duration_sampler, rng, 0.0, horizon
@@ -698,41 +716,36 @@ def simulate_collision_rate(
         sample = space.sample
         identifiers = [sample(rng) for _ in starts]
     with span("core.replay"):
-        tracked = _replay(starts, durations, identifiers, log, warmup)
+        flags = _collision_flags(starts, durations, identifiers)
+        density = _measured_density(starts, durations)
 
     if trace_spool is not None:
         spool = pathlib.Path(trace_spool)
         spool.mkdir(parents=True, exist_ok=True)
-        flagged = {
-            seq for seq, txn in enumerate(log.transactions) if log.collided(txn)
-        }
-        pseudo: Dict[str, object] = {
-            "starts": starts,
-            "identifiers": identifiers,
-            "flagged": flagged,
-        }
         _write_merged_trace(
             spool,
             [
                 _segment_records(starts, durations, identifiers, 0),
-                _collision_records([pseudo]),
+                _collision_records(
+                    [(starts, identifiers, np.flatnonzero(flags).tolist())]
+                ),
             ],
             _trace_meta(
                 id_bits, arrival_rate, duration_sampler, horizon, warmup, seed, 1
             ),
         )
 
+    # Arrivals are time-ordered, so the warmup cut is a prefix.
+    first = bisect.bisect_left(starts, warmup)
+    tracked = len(starts) - first
     if not tracked:
         return MonteCarloResult(
-            transactions=0,
-            collision_rate=float("nan"),
-            measured_density=log.measured_density(),
+            transactions=0, collision_rate=float("nan"), measured_density=density
         )
-    collided = sum(1 for t in tracked if log.collided(t))
     return MonteCarloResult(
-        transactions=len(tracked),
-        collision_rate=collided / len(tracked),
-        measured_density=log.measured_density(),
+        transactions=tracked,
+        collision_rate=int(np.count_nonzero(flags[first:])) / tracked,
+        measured_density=density,
     )
 
 
@@ -780,7 +793,9 @@ def replicate_collision_rate(
     harness uses — and the replicates fan out across the optional
     :class:`repro.exec.TrialRunner`'s workers.  Empty replicates (NaN
     collision rate) are excluded from the aggregate, mirroring
-    :func:`repro.experiments.results.aggregate_trials`.
+    :func:`repro.experiments.results.aggregate_trials`.  Failed
+    replicates are dropped too; if *every* replicate fails, the first
+    failure is raised as :class:`repro.exec.ExecError`.
 
     ``shards`` splits each replicate's horizon into derived-seed time
     segments (see :func:`simulate_collision_rate`).  It is folded into
@@ -790,6 +805,7 @@ def replicate_collision_rate(
     """
     from .. import __version__
     from ..exec import (
+        ExecError,
         TrialRunner,
         TrialSpec,
         canonical_point,
@@ -843,6 +859,10 @@ def replicate_collision_rate(
     results = [
         MonteCarloResult(**outcome.value) for outcome in outcomes if outcome.ok
     ]
+    if not results:
+        failures = [o.failure for o in outcomes if o.failure is not None]
+        detail = failures[0].render() if failures else "no outcomes"
+        raise ExecError(f"all {trials} replicates failed; first: {detail}")
     rates = [r.collision_rate for r in results if not math.isnan(r.collision_rate)]
     if not rates:
         return float("nan"), float("nan"), results

@@ -33,8 +33,8 @@ _txn_seq = itertools.count(1)
 class Transaction:
     """One tracked transaction (ground truth, not protocol state).
 
-    ``slots=True`` matters: Monte Carlo replays allocate one instance
-    per simulated transaction (hundreds of thousands on long horizons),
+    ``slots=True`` matters: the reference Monte Carlo pipeline allocates
+    one instance per simulated transaction (tens of thousands per run),
     and slotted instances are both smaller and faster to create than
     ``__dict__``-backed ones.  ``eq=False`` keeps identity comparison:
     every instance draws a unique ``uid``, so field equality never held

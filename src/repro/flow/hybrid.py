@@ -9,9 +9,9 @@ for.  :func:`simulate` runs one scenario at a chosen fidelity:
 ``flow``
     every window sampled analytically (:mod:`repro.flow.sampler`);
 ``frame``
-    every window replayed by the discrete event core
-    (:func:`repro.core.montecarlo._replay` against a
-    :class:`~repro.core.transactions.TransactionLog`);
+    every window's arrivals drawn one by one and flagged in one batch by
+    the Monte Carlo ground truth's collision kernel
+    (:func:`repro.core.montecarlo._collision_flags`);
 ``hybrid``
     windows whose offered density reaches ``switch_threshold`` drop to
     frame fidelity, the rest stay flow-level, and the outcomes stitch
@@ -20,7 +20,7 @@ for.  :func:`simulate` runs one scenario at a chosen fidelity:
 The stitching contract is seed isolation: every window — flow or frame
 — draws only from its own ``RngRegistry(seed)`` streams
 (``flow.window.<k>`` for sampling, ``flow.frame.<k>.*`` for the
-discrete replay), so a hybrid run's frame windows are **bit-identical**
+frame-level draws), so a hybrid run's frame windows are **bit-identical**
 to the same windows of an all-frame run of the same ``(scenario,
 seed)``, and escalating one window never perturbs another.  The one
 approximation hybrid accepts is the window boundary itself: a
@@ -33,9 +33,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from ..core.identifiers import IdentifierSpace
-from ..core.montecarlo import FixedDuration, _generate_arrivals, _replay
-from ..core.transactions import TransactionLog
+from ..core.montecarlo import FixedDuration, _collision_flags, _generate_arrivals
 from ..obs.envelope import TraceWriter
 from ..obs.metrics import active_metrics
 from ..obs.spans import span
@@ -61,14 +62,14 @@ def frame_window(
     registry: RngRegistry,
     writer: Optional[TraceWriter] = None,
 ) -> WindowOutcome:
-    """Replay one window at frame-level fidelity.
+    """Simulate one window at frame-level fidelity.
 
     Per-stream Poisson arrivals are generated inside the window's
     active overlap from the stream ``flow.frame.<k>.arrivals.<label>``,
     merged in time order (ties break by the scenario's stream order),
     identifiers drawn in merged arrival order from
-    ``flow.frame.<k>.identifiers``, and the whole window replayed
-    through the discrete event core's heap merge — the same collision
+    ``flow.frame.<k>.identifiers``, and every arrival flagged by
+    :func:`repro.core.montecarlo._collision_flags` — the same collision
     criterion, tie rules and all, as the Monte Carlo ground truth.
 
     With ``writer`` the window streams one record per transaction in
@@ -76,41 +77,42 @@ def frame_window(
     records stay time-sorted around the window boundary records the
     caller emits at ``t0``/``t1``).
     """
-    arrivals: List[Tuple[float, int, float]] = []
+    starts: List[float] = []
+    durations: List[float] = []
+    orders: List[int] = []
     for order, stream in enumerate(scenario.streams):
         lo = max(spec.t0, stream.start)
         hi = min(spec.t1, stream.stop)
         if hi <= lo or stream.arrival_rate <= 0:
             continue
         rng = registry.stream(f"flow.frame.{spec.index}.arrivals.{stream.label}")
-        starts, durations = _generate_arrivals(
+        stream_starts, stream_durations = _generate_arrivals(
             stream.arrival_rate, FixedDuration(stream.duration), rng, lo, hi
         )
-        arrivals.extend(zip(starts, [order] * len(starts), durations))
-    arrivals.sort(key=lambda event: (event[0], event[1]))
-    starts_merged = [event[0] for event in arrivals]
-    durations_merged = [event[2] for event in arrivals]
+        starts.extend(stream_starts)
+        durations.extend(stream_durations)
+        orders.extend([order] * len(stream_starts))
+    merged = np.lexsort((orders, starts))
     space = IdentifierSpace(scenario.id_bits)
     id_rng = registry.stream(f"flow.frame.{spec.index}.identifiers")
     sample = space.sample
-    identifiers = [sample(id_rng) for _ in starts_merged]
-    log = TransactionLog()
-    tracked = _replay(starts_merged, durations_merged, identifiers, log, warmup=0.0)
-    collided = sum(1 for txn in tracked if log.collided(txn))
+    identifiers = [sample(id_rng) for _ in starts]
+    begin = np.asarray(starts)[merged]
+    flags = _collision_flags(begin, np.asarray(durations)[merged], identifiers)
     if writer is not None:
-        for when, ident, txn in zip(starts_merged, identifiers, tracked):
+        for when, ident, collided in zip(begin.tolist(), identifiers, flags.tolist()):
             writer.emit(
                 when,
                 "flow.txn",
                 window=spec.index,
                 identifier=ident,
-                collided=log.collided(txn),
+                collided=collided,
             )
     return WindowOutcome(
         index=spec.index,
         fidelity="frame",
-        transactions=len(tracked),
-        collisions=collided,
+        transactions=len(identifiers),
+        collisions=int(np.count_nonzero(flags)),
         density=spec.density,
     )
 

@@ -166,7 +166,7 @@ class TimeWeightedValue:
         """Increment/decrement the signal (e.g. +1 on txn begin, -1 on end).
 
         Inlined rather than delegating to :meth:`set`: this runs twice
-        per simulated transaction in the Monte Carlo hot loop, where
+        per transaction in every ``TransactionLog`` replay, where
         the extra method dispatch is measurable.
         """
         last = self._last_time

@@ -1,10 +1,15 @@
 """Tests for the mixed-duration model extension and its Monte Carlo oracle."""
 
+import heapq
 import itertools
+import json
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.model import (
     collision_probability,
@@ -13,14 +18,91 @@ from repro.core.model import (
     p_success,
     p_success_mixed,
 )
+from repro.core.identifiers import IdentifierSpace
 from repro.core.montecarlo import (
     ExponentialDuration,
     FixedDuration,
+    _collision_flags,
     _generate_arrivals,
+    _measured_density,
     _simulate_collision_rate_reference,
     replicate_collision_rate,
     simulate_collision_rate,
 )
+from repro.core.transactions import TransactionLog
+
+
+def _replay(starts, durations, identifiers, log, warmup):
+    """The heap-plus-TransactionLog event core the batch kernels replaced.
+
+    Kept as the oracle: one merge of the time-ordered arrivals against a
+    min-heap of pending ends, ends at a begin's timestamp processed
+    first, end ties broken by arrival order.  Returns the transactions
+    that started at or after ``warmup``.
+    """
+    tracked = []
+    pending = []  # (end_time, arrival_seq, txn)
+    inf = float("inf")
+    next_end = inf
+    for seq, (when, duration, ident) in enumerate(
+        zip(starts, durations, identifiers)
+    ):
+        while next_end <= when:
+            ended = heapq.heappop(pending)
+            log.end(ended[2], ended[0])
+            next_end = pending[0][0] if pending else inf
+        txn = log.begin(seq, ident, when)
+        ends_at = when + duration
+        heapq.heappush(pending, (ends_at, seq, txn))
+        next_end = min(next_end, ends_at)
+        if when >= warmup:
+            tracked.append(txn)
+    while pending:
+        ended = heapq.heappop(pending)
+        log.end(ended[2], ended[0])
+    return tracked
+
+
+def _oracle(starts, durations, identifiers):
+    """``(flags, density)`` from the oracle replay."""
+    log = TransactionLog()
+    _replay(starts, durations, identifiers, log, warmup=0.0)
+    flags = [log.collided(txn) for txn in log.transactions]
+    return flags, log.measured_density()
+
+
+#: Dyadic times make exact ties (equal starts, an end exactly at a
+#: later start) common; the float draws stand in for exponential
+#: durations.  Each arrival picks either kind, so runs mix both.
+_GAPS = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    st.floats(min_value=0.0, max_value=3.0),
+)
+_DURATIONS = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]),
+    st.floats(min_value=0.0, max_value=5.0),
+)
+
+
+@st.composite
+def _arrivals(draw, max_size=60):
+    """``(starts, durations, identifiers)`` in arrival order."""
+    id_bits = draw(st.integers(min_value=0, max_value=3))
+    n = draw(st.integers(min_value=0, max_value=max_size))
+    time = draw(st.sampled_from([0.0, 0.5, 7.25]))
+    starts = []
+    for gap in draw(st.lists(_GAPS, min_size=n, max_size=n)):
+        time += gap
+        starts.append(time)
+    durations = draw(st.lists(_DURATIONS, min_size=n, max_size=n))
+    identifiers = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=(1 << id_bits) - 1),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return starts, durations, identifiers
 
 
 class TestEffectiveDensity:
@@ -233,6 +315,85 @@ class TestFastCoreGoldenPins:
         assert by_seed == by_rng
 
 
+class TestBatchKernel:
+    """``_collision_flags`` / ``_measured_density`` against the replay
+    oracle, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_arrivals())
+    @example(([], [], []))  # n = 0
+    @example(([3.0], [1.0], [0]))  # n = 1
+    @example(([0.0], [0.0], [0]))  # n = 1, zero duration at time 0
+    @example(([1.0, 1.0, 1.0], [0.5, 0.5, 0.5], [0, 0, 0]))  # id_bits = 0
+    @example(([0.0, 1.0], [1.0, 1.0], [2, 2]))  # end exactly at next start
+    @example(([2.0, 2.0], [0.0, 0.0], [1, 1]))  # zero durations, equal starts
+    @example(([0.0, 0.5, 2.0], [5.0, 0.25, 0.1], [1, 1, 1]))  # running max
+    @example(([0.0, 1.0], [math.nextafter(1.0, 2.0), 1.0], [0, 0]))  # one ulp past
+    @example(([0.0, 1.0, 4.0], [3.0, 0.5, 1.0], [3, 3, 3]))  # max ends before
+    def test_matches_replay_oracle(self, arrivals):
+        starts, durations, identifiers = arrivals
+        flags, density = _oracle(starts, durations, identifiers)
+        got = _collision_flags(starts, durations, identifiers)
+        assert got.dtype == bool
+        assert got.tolist() == flags
+        assert _measured_density(starts, durations) == density
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), max_size=25),
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), max_size=25),
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.sampled_from([0.5, 1.0, 2.0]),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_equal_starts_from_two_streams(self, a, b, dur_a, dur_b, seed):
+        # Two time-ordered streams sharing start values, merged the way
+        # frame windows merge them: by start, ties by stream order.
+        starts = sorted(a) + sorted(b)
+        durations = [dur_a] * len(a) + [dur_b] * len(b)
+        orders = [0] * len(a) + [1] * len(b)
+        old = sorted(
+            zip(starts, orders, durations), key=lambda e: (e[0], e[1])
+        )
+        merged = np.lexsort((orders, starts))
+        assert [(starts[k], orders[k], durations[k]) for k in merged] == old
+        rng = random.Random(seed)
+        identifiers = [rng.randrange(2) for _ in old]
+        merged_starts = [e[0] for e in old]
+        merged_durations = [e[2] for e in old]
+        flags, density = _oracle(merged_starts, merged_durations, identifiers)
+        got = _collision_flags(merged_starts, merged_durations, identifiers)
+        assert got.tolist() == flags
+        assert _measured_density(merged_starts, merged_durations) == density
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=0, max_value=6),
+        st.sampled_from([FixedDuration(1.0), ExponentialDuration(1.0)]),
+        st.floats(min_value=0.0, max_value=40.0),
+    )
+    def test_simulate_matches_oracle_pipeline(self, seed, bits, sampler, warmup):
+        """``simulate_collision_rate`` == the replay pipeline it replaced,
+        warmup cut included."""
+        rng = random.Random(seed)
+        starts, durations = _generate_arrivals(5.0, sampler, rng, 0.0, 30.0)
+        space = IdentifierSpace(bits)
+        identifiers = [space.sample(rng) for _ in starts]
+        log = TransactionLog()
+        tracked = _replay(starts, durations, identifiers, log, warmup)
+        mc = simulate_collision_rate(
+            bits, 5.0, sampler, horizon=30.0, seed=seed, warmup=warmup
+        )
+        assert mc.measured_density == log.measured_density()
+        assert mc.transactions == len(tracked)
+        if tracked:
+            collided = sum(1 for txn in tracked if log.collided(txn))
+            assert mc.collision_rate == collided / len(tracked)
+        else:
+            assert math.isnan(mc.collision_rate)
+
+
 class TestSharding:
     PIN_SMALL = (949, 0.12539515279241306, 4.561522717310129)
     PIN_LONG = (24063, 0.02169305572871213, 11.909173485859137)
@@ -299,6 +460,50 @@ class TestSharding:
             assert mc.transactions == len(txns)
             assert round(mc.collision_rate * mc.transactions) == len(collided)
 
+    def test_stitch_end_at_later_start_does_not_contend(self):
+        from repro.core.montecarlo import _id_dtype, _pack, _stitch_segments
+
+        def segment(starts, identifiers, tails):
+            return {
+                "n": len(starts),
+                "starts": _pack(np.asarray(starts, dtype="<f8")),
+                "identifiers": _pack(np.asarray(identifiers, dtype=_id_dtype(6))),
+                "flagged": set(),
+                "tails": tails,
+            }
+
+        # Segment 0's arrival with id 5 is open over [9, 12) and the
+        # one with id 7 over [3, 25): both carry across the cut at 10,
+        # and only the second across the cut at 20.
+        segments = [
+            segment([3.0, 9.0], [7, 5], [[25.0, 7, 0], [12.0, 5, 1]]),
+            segment([11.0, 12.0, 12.5], [5, 5, 7], []),
+            segment([24.0, 25.0], [7, 7], []),
+        ]
+        _stitch_segments(segments, [0.0, 10.0, 20.0, 30.0], _id_dtype(6))
+        assert [sorted(seg["flagged"]) for seg in segments] == [[0, 1], [0, 2], [0]]
+
+    @pytest.mark.parametrize("bits", [0, 5, 16, 17, 62])
+    def test_segment_transport_round_trips_arrivals(self, bits):
+        from repro.core.montecarlo import _head, _id_dtype, _montecarlo_segment
+
+        sampler = ExponentialDuration(1.0)
+        value = _montecarlo_segment(bits, 5.0, sampler, 40.0, 2, 1, seed=77)
+        segment = json.loads(json.dumps(value))
+        rng = random.Random(77)
+        starts, _ = _generate_arrivals(5.0, sampler, rng, 20.0, 40.0)
+        space = IdentifierSpace(bits)
+        identifiers = [space.sample(rng) for _ in starts]
+        packed_starts, packed_ids = _head(segment, math.inf, _id_dtype(bits))
+        assert packed_starts.tolist() == starts
+        assert packed_ids.tolist() == identifiers
+        # Every prefix decodes to exactly the arrivals before the cut.
+        for k in range(len(starts) + 1):
+            until = starts[k] if k < len(starts) else math.inf
+            head_starts, head_ids = _head(segment, until, _id_dtype(bits))
+            assert head_starts.tolist() == starts[:k]
+            assert head_ids.tolist() == identifiers[:k]
+
     def test_warmup_excludes_early_transactions(self):
         full = simulate_collision_rate(
             6, 5.0, ExponentialDuration(1.0), horizon=100.0, seed=8, shards=2
@@ -357,6 +562,41 @@ class TestReplication:
         )
         assert first == second
         assert not math.isnan(first[0])
+
+    def test_all_replicates_failing_raises(self, monkeypatch):
+        from repro.core import montecarlo
+        from repro.exec import ExecError, TrialRunner
+
+        def failing_trial(**kwargs):
+            raise RuntimeError(f"replicate seed {kwargs['seed']} lost")
+
+        monkeypatch.setattr(montecarlo, "_montecarlo_trial", failing_trial)
+        with pytest.raises(ExecError, match="all 3 replicates failed.*lost"):
+            replicate_collision_rate(
+                6, 5.0, ExponentialDuration(1.0), trials=3, horizon=20.0,
+                runner=TrialRunner(workers=1),
+            )
+
+    def test_partial_failure_drops_failed_replicates(self, monkeypatch):
+        from repro.core import montecarlo
+        from repro.exec import TrialRunner
+
+        real = montecarlo._montecarlo_trial
+        calls = []
+
+        def flaky_trial(**kwargs):
+            calls.append(kwargs["seed"])
+            if len(calls) == 1:
+                raise RuntimeError("first replicate lost")
+            return real(**kwargs)
+
+        monkeypatch.setattr(montecarlo, "_montecarlo_trial", flaky_trial)
+        mean, _, results = replicate_collision_rate(
+            6, 5.0, ExponentialDuration(1.0), trials=3, horizon=20.0,
+            runner=TrialRunner(workers=1),
+        )
+        assert len(results) == 2
+        assert not math.isnan(mean)
 
     def test_validation(self):
         with pytest.raises(ValueError):

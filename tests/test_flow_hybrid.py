@@ -8,11 +8,14 @@ window's draws.  The frame windows themselves are also checked against
 a direct discrete-core replay of the same arrivals.
 """
 
+import hashlib
+
 import pytest
 
 from repro.core.model import collision_probability_mixed
 from repro.flow.hybrid import FIDELITY_MODES, frame_window, simulate
-from repro.flow.sampler import sample_flow, window_plan
+from repro.flow.sampler import FlowResult, WindowOutcome, sample_flow, window_plan
+from repro.flow.shard import simulate_traced
 from repro.flow.streams import FlowScenario, TransactionStream, figure4_scenario
 from repro.sim.rng import RngRegistry
 
@@ -112,3 +115,54 @@ class TestFrameAccuracy:
         result = simulate(scenario, 13, fidelity="frame")
         expected = collision_probability_mixed(4, 5.0, [1.0])
         assert result.collision_rate == pytest.approx(expected, abs=0.06)
+
+
+class TestFramePins:
+    """Frame-fidelity results and sharded trace bytes, pinned.
+
+    The serial-vs-sharded tests compare two runs of today's code, so a
+    change that broke both the same way would pass them.  These values
+    were captured from the heap-plus-``TransactionLog`` replay that the
+    batch collision kernel replaced.
+    """
+
+    #: seed -> (transactions, collisions, per-window (txns, collisions),
+    #: SHA-256 of the shards=2 merged trace incl. its flow.txn records)
+    PINS = {
+        1: (510, 329,
+            [(23, 2), (23, 4), (24, 8), (18, 4), (197, 171), (166, 138),
+             (17, 2), (12, 0), (16, 0), (14, 0)],
+            "d5117594955542aa49a4211bb33e9955b5d2b8ce28913535483a8c9c18f5ccc6"),
+        2: (562, 398,
+            [(18, 3), (18, 0), (16, 4), (23, 6), (212, 196), (190, 166),
+             (35, 13), (16, 2), (17, 2), (17, 6)],
+            "d8711cd527b85e1785f616d9a2a4c636a8e30a566008e6d118154cc88afeadec"),
+        3: (596, 430,
+            [(22, 4), (24, 7), (23, 10), (19, 3), (229, 215), (199, 177),
+             (20, 4), (21, 4), (18, 4), (21, 2)],
+            "f61f8febf1fdcb8bc6e95ae4497d7e9c55fd339286742f22ed44168d676f9cb8"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINS))
+    def test_frame_run_and_trace_match_pins(self, seed, tmp_path):
+        transactions, collisions, windows, digest = self.PINS[seed]
+        expected = FlowResult(
+            transactions=transactions,
+            collisions=collisions,
+            windows=tuple(
+                WindowOutcome(
+                    index=index,
+                    fidelity="frame",
+                    transactions=txns,
+                    collisions=hits,
+                    density=20.0 if index in (4, 5) else 2.0,
+                )
+                for index, (txns, hits) in enumerate(windows)
+            ),
+        )
+        scenario = _burst_scenario()
+        assert simulate(scenario, seed, fidelity="frame") == expected
+        path = tmp_path / "frame.jsonl"
+        traced = simulate_traced(scenario, seed, path, fidelity="frame", shards=2)
+        assert traced == expected
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
