@@ -1,8 +1,8 @@
 """Fork/cache-safety rules for trial functions (EXEC001-003).
 
 A function handed to the exec subsystem via ``TrialSpec`` runs in a
-forked child (``TrialRunner``) or a prefork ``WorkerPool`` worker, and
-its result may be stored in the content-addressed cache.  Three things
+forked ``TrialRunner`` child, and its result may be stored in the
+content-addressed cache.  Three things
 quietly break that model:
 
 * **EXEC001** — writing module-level mutable state.  The write lands in

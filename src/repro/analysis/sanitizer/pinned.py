@@ -69,12 +69,10 @@ SCENARIOS: Dict[str, PinnedScenario] = {
     "montecarlo": PinnedScenario("montecarlo", _run_montecarlo),
 }
 
-#: Modules whose import-time side effects (pool dataclass registration,
-#: stream bookkeeping) must settle *before* DetSan snapshots its
-#: fork-state baseline — otherwise first-use lazy imports inside a
-#: scenario read as state drift.
+#: Modules whose import-time side effects (stream bookkeeping) must
+#: settle *before* DetSan snapshots its fork-state baseline — otherwise
+#: first-use lazy imports inside a scenario read as state drift.
 _PRELOAD = (
-    "repro.exec.pool",
     "repro.experiments.harness",
     "repro.core.montecarlo",
     "repro.obs.record",

@@ -60,9 +60,9 @@ class HashOrderRule(SanitizerRule):
 class StateDriftRule(SanitizerRule):
     rule_id = "SAN004"
     description = (
-        "designated module state (RNG fallback counters, pool "
-        "registries, the global random instance) drifted across a "
-        "trial call or a fork boundary"
+        "designated module state (RNG fallback counters, the global "
+        "random instance) drifted across a trial call or a fork "
+        "boundary"
     )
     help_anchor = _DETSAN_ANCHOR
 

@@ -22,9 +22,8 @@ the runtime pieces that instrumented code touches on its hot paths:
   derived from the sanitizer seed so perturbed runs are reproducible;
 * **fork-state snapshots** (:func:`state_snapshot`): a registry of
   named probes that hash designated module state (RNG fallback
-  counters, the pool dataclass registry, the global ``random``
-  instance's state), compared before/after trials and across fork
-  boundaries (rule SAN004).
+  counters, the global ``random`` instance's state), compared
+  before/after trials and across fork boundaries (rule SAN004).
 
 Observations cross process boundaries as plain JSON payloads: a forked
 worker drains its ledger into the result message
@@ -257,13 +256,6 @@ def _probe_rng_fallback_counts() -> str:
     return _digest(repr(sorted(counts.items())))
 
 
-def _probe_pool_dataclasses() -> str:
-    table = _module_attr("repro.exec.pool", "_POOL_DATACLASSES")
-    if table is None:
-        return "unloaded"
-    return _digest(repr(sorted(table)))
-
-
 def _probe_global_random_state() -> str:
     # The hidden module-level instance: any draw through ``random.*``
     # advances it, so this probe catches global-RNG consumption even
@@ -272,7 +264,6 @@ def _probe_global_random_state() -> str:
 
 
 register_state_probe("sim.rng.fallback_counts", _probe_rng_fallback_counts)
-register_state_probe("exec.pool.dataclasses", _probe_pool_dataclasses)
 register_state_probe("random.global_state", _probe_global_random_state)
 
 
@@ -314,8 +305,8 @@ class DetSanContext:
         """Compare ``snapshot`` against the fork-time baseline.
 
         Called at trial start: drift here means module state changed
-        *between* trials (cross-task contamination in a reused pool
-        worker), as opposed to inside one.
+        *between* trials (cross-task contamination in a worker that
+        runs several trials of its shard), as opposed to inside one.
         """
         if self.fork_baseline is None:
             self.fork_baseline = dict(snapshot)

@@ -7,7 +7,7 @@ parameter threaded in by the runner, or a stream derived from one via
 from anything else (a constant, an unrelated local, nothing at all)
 reproduces across *processes* but not across *trials* — results stop
 being a pure function of ``(fn, params, seed)``, which is exactly the
-identity the content-addressed cache and the sharding/pool bit-identity
+identity the content-addressed cache and the sharding/worker-count bit-identity
 guarantees assume.
 
 SEED001 applies taint tracking per scope: parameters whose names look

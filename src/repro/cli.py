@@ -28,7 +28,7 @@ import sys
 from typing import Optional, Sequence
 
 from .core import model
-from .exec import ResultCache, TrialRunner, WorkerPool
+from .exec import ResultCache, TrialRunner
 from .experiments import figures as figs
 
 from .experiments.plotting import render_series
@@ -60,15 +60,6 @@ def _add_exec_flags(sub: argparse.ArgumentParser, default_cache: Optional[str] =
         "utilization) as JSON to PATH",
     )
     group.add_argument(
-        "--pool", dest="pool", action="store_true", default=False,
-        help="serve trials from a persistent worker pool (reused across "
-        "the command's runs; results are identical either way)",
-    )
-    group.add_argument(
-        "--no-pool", dest="pool", action="store_false",
-        help="force per-run forked workers (the default)",
-    )
-    group.add_argument(
         "--profile", action="store_true",
         help="profile per-layer wall time inside trials (observational "
         "only; summaries land in telemetry and obs summaries)",
@@ -85,22 +76,15 @@ def _make_runner(args: argparse.Namespace) -> TrialRunner:
     cache = None
     if getattr(args, "cache_dir", None) and not getattr(args, "no_cache", False):
         cache = ResultCache(args.cache_dir)
-    pool = None
-    workers = getattr(args, "workers", 1)
-    if getattr(args, "pool", False):
-        pool = WorkerPool(workers=max(2, workers))
     return TrialRunner(
-        workers=workers,
+        workers=getattr(args, "workers", 1),
         cache=cache,
-        pool=pool,
         profile=getattr(args, "profile", False),
     )
 
 
 def _finish_exec(runner: TrialRunner, args: argparse.Namespace) -> None:
     """Print the one-line execution summary; persist telemetry if asked."""
-    if runner.pool is not None:
-        runner.pool.close()
     telemetry = runner.telemetry
     if telemetry.trials:
         print(telemetry.render(), file=sys.stderr)

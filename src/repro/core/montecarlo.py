@@ -71,8 +71,7 @@ class FixedDuration:
     """Constant-duration sampler (the paper's same-length assumption).
 
     A frozen dataclass rather than a lambda so the sampler has a stable
-    canonical form (its field dict) for cache keys and can cross the
-    worker-pool's JSON task transport.
+    canonical form (its field dict) for cache keys.
     """
 
     seconds: float = 1.0
@@ -320,8 +319,8 @@ def _write_merged_trace(
     The merged order is keyed ``(time, stream rank, position)`` — see
     :mod:`repro.obs.merge` — so the bytes depend only on the streams'
     contents, never on worker scheduling.  Meta deliberately excludes
-    worker/pool configuration: traces from a serial and a pooled run of
-    the same scenario must be byte-identical, header included.
+    worker configuration: traces from a serial and a multi-worker run
+    of the same scenario must be byte-identical, header included.
     """
     from ..obs.envelope import TraceWriter
     from ..obs.merge import merge_streams
@@ -672,7 +671,7 @@ def simulate_collision_rate(
         (plus per-segment shards when sharded) — see :mod:`repro.obs`.
         Observational only: the returned result is bit-identical with
         tracing on or off, and the trace bytes are a pure function of
-        ``(seed, shards)``, never of worker count or pooling.
+        ``(seed, shards)``, never of worker count.
 
     Each transaction gets a fresh owner id, so same-owner reuse (which
     the ground-truth log exempts) never occurs — matching the model's
@@ -873,12 +872,3 @@ def replicate_collision_rate(
     else:
         stdev = 0.0
     return mean, stdev, results
-
-
-# The named samplers may travel as kwargs to persistent pool workers
-# (which reconstruct them by reference); opt them into that transport.
-from ..exec.pool import register_pool_dataclass as _register  # noqa: E402
-
-_register(FixedDuration)
-_register(ExponentialDuration)
-del _register

@@ -27,7 +27,6 @@ from .keys import (
     segment_seed,
     trial_key,
 )
-from .pool import NotPoolable, WorkerPool, register_pool_dataclass
 from .runner import (
     ExecError,
     TrialFailure,
@@ -41,7 +40,6 @@ from .telemetry import RunTelemetry, TrialRecord
 __all__ = [
     "CacheStats",
     "ExecError",
-    "NotPoolable",
     "ResultCache",
     "RunTelemetry",
     "TrialFailure",
@@ -50,11 +48,9 @@ __all__ = [
     "TrialRunner",
     "TrialSpec",
     "TrialTimeout",
-    "WorkerPool",
     "canonical_point",
     "canonical_value",
     "derive_trial_seed",
-    "register_pool_dataclass",
     "segment_seed",
     "trial_key",
 ]

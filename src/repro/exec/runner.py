@@ -38,7 +38,6 @@ import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -55,9 +54,6 @@ from ..obs.metrics import MetricsRegistry, active_metrics, collecting
 from ..obs.spans import SpanProfiler, profiling
 from .cache import ResultCache
 from .telemetry import RunTelemetry, TrialRecord
-
-if TYPE_CHECKING:  # pool.py imports runner.py; only the annotation needs it
-    from .pool import WorkerPool
 
 __all__ = [
     "ExecError",
@@ -203,10 +199,9 @@ def execute_call(
 ) -> Dict[str, Any]:
     """Run ``fn(**kwargs)`` with deadline + bounded retry; return a message.
 
-    Messages are plain JSON dicts — the same shape a forked worker or a
-    persistent pool worker ships over its pipe — so the serial path,
-    the per-run fork path, and :class:`repro.exec.pool.WorkerPool` all
-    share one code path from here up.  ``plain`` marks values whose
+    Messages are plain JSON dicts — the same shape a forked worker ships
+    over its pipe — so the serial path and the per-run fork path share
+    one code path from here up.  ``plain`` marks values whose
     encoded form contains no transport tags, letting the parent skip
     the Python-level decode walk (a real cost when a sharded trial
     ships hundreds of kilobytes of packed segment data).
@@ -329,19 +324,10 @@ class TrialRunner:
         Extra attempts after a failed/timed-out one (total attempts =
         ``retries + 1``).  Retries re-run the identical inputs, so they
         only help against nondeterministic externalities (timeouts).
-    pool:
-        Optional :class:`repro.exec.pool.WorkerPool`.  Pool-transportable
-        specs (module-level function, JSON-encodable kwargs) are fed to
-        its long-lived workers instead of forking fresh ones per
-        :meth:`run`; the rest fall back to the classic fork path, counted
-        in telemetry as ``pool_fallbacks``.  Whether a trial runs in the
-        pool, a per-run fork, or in-process never changes its result —
-        all three paths share the same transport encoding.  The caller
-        owns the pool's lifecycle (use it as a context manager).
     profile:
         When True every trial runs under a span profiler and its
         per-layer wall times flow into :attr:`telemetry` (and across
-        worker pipes for forked/pooled trials).  Observational only —
+        worker pipes for forked trials).  Observational only —
         results are bit-identical with profiling on or off.
     """
 
@@ -351,7 +337,6 @@ class TrialRunner:
         cache: Optional[ResultCache] = None,
         timeout: Optional[float] = None,
         retries: int = 0,
-        pool: Optional["WorkerPool"] = None,
         profile: bool = False,
     ) -> None:
         if workers < 1:
@@ -362,7 +347,6 @@ class TrialRunner:
         self.cache = cache
         self.timeout = timeout
         self.retries = retries
-        self.pool = pool
         self.profile = profile
         #: cumulative telemetry over every :meth:`run` on this runner
         self.telemetry = RunTelemetry(workers=workers)
@@ -402,35 +386,7 @@ class TrialRunner:
 
         effective = max(1, min(self.workers, len(pending)))
         if pending:
-            if self.pool is not None and hasattr(os, "fork"):
-                messages, unpooled = self.pool.run_specs(
-                    specs,
-                    pending,
-                    timeout=self.timeout,
-                    retries=self.retries,
-                    profile=self.profile,
-                    metrics=metrics_on,
-                )
-                telemetry.pool_batches += 1
-                telemetry.pool_respawns += self.pool.take_respawns()
-                effective = self.pool.workers
-                if unpooled:
-                    # Lambdas / closures / unregistered kwargs cannot
-                    # cross the pool's by-name transport; run them on
-                    # the classic path (fork inherits them by memory).
-                    telemetry.pool_fallbacks += len(unpooled)
-                    fb_workers = max(1, min(self.workers, len(unpooled)))
-                    if fb_workers == 1:
-                        messages.update(
-                            self._run_serial(specs, unpooled, metrics_on)
-                        )
-                    else:
-                        messages.update(
-                            self._run_forked(
-                                specs, unpooled, fb_workers, metrics_on
-                            )
-                        )
-            elif effective == 1 or not hasattr(os, "fork"):
+            if effective == 1 or not hasattr(os, "fork"):
                 effective = 1
                 messages = self._run_serial(specs, pending, metrics_on)
             else:

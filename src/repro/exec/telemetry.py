@@ -64,12 +64,6 @@ class RunTelemetry:
     cache_writes: int = 0
     cache_corrupted: int = 0
     workers: int = 1
-    #: runner.run() calls served by a persistent WorkerPool
-    pool_batches: int = 0
-    #: trials that could not cross the pool transport (classic path)
-    pool_fallbacks: int = 0
-    #: crashed pool workers replaced with fresh forks
-    pool_respawns: int = 0
     #: non-fatal degradations (e.g. unenforceable deadlines), deduplicated
     warnings: List[str] = field(default_factory=list)
     #: seconds each worker spent inside trial functions, keyed by id
@@ -168,9 +162,6 @@ class RunTelemetry:
         self.cache_writes += other.cache_writes
         self.cache_corrupted += other.cache_corrupted
         self.workers = max(self.workers, other.workers)
-        self.pool_batches += other.pool_batches
-        self.pool_fallbacks += other.pool_fallbacks
-        self.pool_respawns += other.pool_respawns
         for warning in other.warnings:
             if warning not in self.warnings:
                 self.warnings.append(warning)
@@ -197,9 +188,6 @@ class RunTelemetry:
             "cache_writes": self.cache_writes,
             "cache_corrupted": self.cache_corrupted,
             "workers": self.workers,
-            "pool_batches": self.pool_batches,
-            "pool_fallbacks": self.pool_fallbacks,
-            "pool_respawns": self.pool_respawns,
             "warnings": list(self.warnings),
             "worker_utilization": {
                 str(worker): round(value, 4)
@@ -253,13 +241,6 @@ class RunTelemetry:
         if self.failures:
             parts.append(f"{self.failures} failed")
         parts.append(f"{self.workers} worker(s)")
-        if self.pool_batches:
-            pool = f"{self.pool_batches} pooled batch(es)"
-            if self.pool_fallbacks:
-                pool += f" ({self.pool_fallbacks} fell back)"
-            if self.pool_respawns:
-                pool += f" ({self.pool_respawns} respawned)"
-            parts.append(pool)
         parts.append(f"{self.wall_time:.2f}s wall")
         line = "exec: " + ", ".join(parts)
         for warning in self.warnings:

@@ -37,7 +37,6 @@ from ..core.identifiers import (
 )
 from ..core.transactions import TransactionLog
 from ..radio.mac import AlohaMac
-from ..exec.pool import register_pool_dataclass
 from ..radio.medium import BroadcastMedium
 from ..radio.radio import Radio
 from ..sim.engine import Simulator
@@ -52,15 +51,9 @@ __all__ = ["CollisionTrialConfig", "TrialResult", "run_collision_trial", "replic
 SELECTORS = ("uniform", "listening", "oracle")
 
 
-@register_pool_dataclass
 @dataclass
 class CollisionTrialConfig:
-    """Parameters of one collision-measurement trial (paper defaults).
-
-    Registered for the persistent worker pool's task transport: a
-    config whose factory fields are None (the common case) crosses the
-    pipe by field dict, so ``replicate`` sweeps can reuse pool workers.
-    """
+    """Parameters of one collision-measurement trial (paper defaults)."""
 
     id_bits: int = 8
     n_senders: int = 5

@@ -119,9 +119,16 @@ def generate_report(
 
     With a :class:`repro.exec.TrialRunner` (and its result cache), a
     re-run only computes trials whose inputs changed — everything else
-    is served from the cache, byte-identical.
+    is served from the cache, byte-identical.  Unknown scenario names
+    raise :class:`KeyError` before any figure work or file write.
     """
     config = config or ReportConfig()
+    selected = config.scenarios or sorted(SCENARIOS)
+    unknown = [name for name in selected if name not in SCENARIOS]
+    if unknown:
+        raise KeyError(
+            f"unknown scenario {unknown[0]!r}; valid: {', '.join(sorted(SCENARIOS))}"
+        )
     if runner is not None:
         config = ReportConfig(
             trials=config.trials,
@@ -171,12 +178,7 @@ def generate_report(
         )
 
     index_lines += ["", "## Scenarios", ""]
-    selected = config.scenarios or sorted(SCENARIOS)
     for name in selected:
-        if name not in SCENARIOS:
-            raise KeyError(
-                f"unknown scenario {name!r}; valid: {', '.join(sorted(SCENARIOS))}"
-            )
         runner, description = SCENARIOS[name]
         outcome = runner(config)
         table = Table(f"scenario: {name} — {description}", ["metric", "value"])

@@ -31,7 +31,7 @@ windows should be sized at least several transaction durations wide
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from ..sim.rng import RngRegistry
 from .sampler import FlowResult, WindowOutcome, WindowSpec, sample_window, window_plan
 from .streams import FlowScenario
 
-__all__ = ["FIDELITY_MODES", "frame_window", "simulate", "wants_frame"]
+__all__ = ["FIDELITY_MODES", "frame_window", "run_windows", "simulate", "wants_frame"]
 
 #: Supported fidelity modes, in increasing cost order.
 FIDELITY_MODES: Tuple[str, ...] = ("flow", "hybrid", "frame")
@@ -133,6 +133,64 @@ def wants_frame(
     return False
 
 
+def run_windows(
+    scenario: FlowScenario,
+    plan: Iterable[WindowSpec],
+    registry: RngRegistry,
+    fidelity: str,
+    switch_threshold: float,
+    model: str,
+    writer: Optional[TraceWriter] = None,
+) -> List[WindowOutcome]:
+    """Execute the windows of ``plan`` in order: the one per-window loop.
+
+    :func:`simulate` runs it over the whole plan and
+    :func:`repro.flow.shard.window_range_trial` over one range, so the
+    summed ``flow.*`` counters and spans of a sharded run equal the
+    serial run's exactly.  With ``writer`` each window also streams a
+    ``flow.window`` record at ``t0`` (offered load and the fidelity
+    decision), its frame transactions, and a ``flow.outcome`` record at
+    ``t1`` carrying the window's counts.
+    """
+    metrics = active_metrics()
+    outcomes: List[WindowOutcome] = []
+    for spec in plan:
+        escalate = wants_frame(fidelity, spec, switch_threshold)
+        if metrics is not None:
+            metrics.inc("flow.windows")
+            if escalate:
+                metrics.inc("flow.escalations")
+        if writer is not None:
+            writer.emit(
+                spec.t0,
+                "flow.window",
+                window=spec.index,
+                fidelity="frame" if escalate else "flow",
+                arrival_rate=spec.arrival_rate,
+                density=spec.density,
+            )
+        if escalate:
+            with span("flow.frame"):
+                outcome = frame_window(scenario, spec, registry, writer=writer)
+        else:
+            with span("flow.sample"):
+                rng = registry.stream(f"flow.window.{spec.index}")
+                outcome = sample_window(spec, scenario.id_bits, rng, model)
+        if metrics is not None:
+            metrics.inc("flow.transactions", outcome.transactions)
+            metrics.inc("flow.collisions", outcome.collisions)
+        if writer is not None:
+            writer.emit(
+                spec.t1,
+                "flow.outcome",
+                window=spec.index,
+                transactions=outcome.transactions,
+                collisions=outcome.collisions,
+            )
+        outcomes.append(outcome)
+    return outcomes
+
+
 def simulate(
     scenario: FlowScenario,
     seed: int,
@@ -153,28 +211,14 @@ def simulate(
         raise ValueError(f"unknown fidelity {fidelity!r}")
     if switch_threshold <= 0:
         raise ValueError("switch_threshold must be positive")
-    registry = RngRegistry(seed)
-    metrics = active_metrics()
-    outcomes: List[WindowOutcome] = []
-    for spec in window_plan(scenario):
-        escalate = wants_frame(fidelity, spec, switch_threshold)
-        if metrics is not None:
-            metrics.inc("flow.windows")
-            if escalate:
-                metrics.inc("flow.escalations")
-        if escalate:
-            with span("flow.frame"):
-                outcomes.append(frame_window(scenario, spec, registry))
-        else:
-            with span("flow.sample"):
-                rng = registry.stream(f"flow.window.{spec.index}")
-                outcomes.append(
-                    sample_window(spec, scenario.id_bits, rng, model)
-                )
-        if metrics is not None:
-            outcome = outcomes[-1]
-            metrics.inc("flow.transactions", outcome.transactions)
-            metrics.inc("flow.collisions", outcome.collisions)
+    outcomes = run_windows(
+        scenario,
+        window_plan(scenario),
+        RngRegistry(seed),
+        fidelity,
+        switch_threshold,
+        model,
+    )
     return FlowResult(
         transactions=sum(w.transactions for w in outcomes),
         collisions=sum(w.collisions for w in outcomes),

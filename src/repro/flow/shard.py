@@ -14,8 +14,9 @@ result.  This module supplies that partition and reassembly:
   :data:`FRAME_COST_FACTOR` for windows the fidelity mode escalates to
   frame replay) so one dense burst window does not serialize the run;
   ``"even"`` splits by window count alone.
-* :func:`window_range_trial` executes one range — a module-level
-  function with pool-transportable arguments, so ranges fan out as
+* :func:`window_range_trial` executes one range through the serial
+  run's own window loop (:func:`repro.flow.hybrid.run_windows`) — a
+  module-level function with plain-data arguments, so ranges fan out as
   ordinary :class:`~repro.exec.TrialSpec`\\ s through a
   :class:`~repro.exec.TrialRunner` (content-addressed cache, per-trial
   timeout/retry, worker telemetry all apply).
@@ -48,11 +49,22 @@ from .. import __version__
 from ..exec import ExecError, TrialRunner, TrialSpec, trial_key
 from ..obs.envelope import TraceWriter
 from ..obs.merge import collect_shards, merge_shards
-from ..obs.metrics import active_metrics
 from ..obs.spans import span
 from ..sim.rng import RngRegistry
-from .hybrid import DEFAULT_SWITCH_THRESHOLD, FIDELITY_MODES, frame_window, wants_frame
-from .sampler import FlowResult, WindowOutcome, WindowSpec, sample_window, window_plan
+from .hybrid import (  # noqa: F401 - perfbench wraps shard.frame_window
+    DEFAULT_SWITCH_THRESHOLD,
+    FIDELITY_MODES,
+    frame_window,
+    run_windows,
+    wants_frame,
+)
+from .sampler import (  # noqa: F401 - perfbench wraps shard.sample_window
+    FlowResult,
+    WindowOutcome,
+    WindowSpec,
+    sample_window,
+    window_plan,
+)
 from .streams import FlowScenario
 
 __all__ = [
@@ -75,10 +87,10 @@ PARTITION_STRATEGIES: Tuple[str, ...] = ("cost", "even")
 
 #: Relative cost of simulating one transaction at frame fidelity vs
 #: drawing it at flow fidelity.  Frame replay generates per-stream
-#: arrivals, samples an identifier, and runs the heap-merge collision
-#: bookkeeping per transaction where the flow sampler spends one
-#: uniform draw — measured at roughly an order of magnitude, and only
-#: the *balance* between ranges depends on it, never a result.
+#: arrivals and samples an identifier per transaction, then flags the
+#: window's arrivals in one batch (``_collision_flags``), where the flow
+#: sampler spends one uniform draw — roughly an order of magnitude, and
+#: only the *balance* between ranges depends on it, never a result.
 FRAME_COST_FACTOR = 12.0
 
 #: Fully qualified trial-function name used in cache-key material.
@@ -187,14 +199,11 @@ def window_range_trial(
     The building block of a sharded run: draws exactly the streams the
     serial run would use for these windows (``RngRegistry(seed)``
     derivation is positional, so execution order across ranges is
-    irrelevant).  Returns the window outcomes as plain rows — JSON/pool
-    transportable, reassembled by :func:`merge_range_values`.
+    irrelevant).  Returns the window outcomes as plain JSON rows,
+    reassembled by :func:`merge_range_values`.
 
     With ``trace_path`` the range streams its records as one shard of
-    the run's trace: per window a ``flow.window`` record at ``t0``
-    (offered load and the fidelity decision), per frame-escalated
-    transaction a ``flow.txn`` record at its arrival time, and a
-    ``flow.outcome`` record at ``t1`` carrying the window's counts.
+    the run's trace (see :func:`repro.flow.hybrid.run_windows`).
     Record times are non-decreasing within the shard and strictly
     bounded by the range's window edges, which is what lets
     :func:`repro.obs.merge.merge_shards` reproduce the serial emission
@@ -205,49 +214,19 @@ def window_range_trial(
         raise ValueError(
             f"window range [{lo}, {hi}) outside plan of {len(plan)} window(s)"
         )
-    registry = RngRegistry(seed)
-    # Same per-window hooks as ``hybrid.simulate`` — the summed counters
-    # of a sharded run must equal the serial run's exactly.
-    metrics = active_metrics()
     writer: Optional[TraceWriter] = None
     if trace_path is not None:
         writer = TraceWriter(trace_path, meta={"windows": [lo, hi]})
-    outcomes: List[WindowOutcome] = []
     try:
-        for spec in plan[lo:hi]:
-            frame = wants_frame(fidelity, spec, switch_threshold)
-            if metrics is not None:
-                metrics.inc("flow.windows")
-                if frame:
-                    metrics.inc("flow.escalations")
-            if writer is not None:
-                writer.emit(
-                    spec.t0,
-                    "flow.window",
-                    window=spec.index,
-                    fidelity="frame" if frame else "flow",
-                    arrival_rate=spec.arrival_rate,
-                    density=spec.density,
-                )
-            if frame:
-                with span("flow.frame"):
-                    outcome = frame_window(scenario, spec, registry, writer=writer)
-            else:
-                with span("flow.sample"):
-                    rng = registry.stream(f"flow.window.{spec.index}")
-                    outcome = sample_window(spec, scenario.id_bits, rng, model)
-            if metrics is not None:
-                metrics.inc("flow.transactions", outcome.transactions)
-                metrics.inc("flow.collisions", outcome.collisions)
-            if writer is not None:
-                writer.emit(
-                    spec.t1,
-                    "flow.outcome",
-                    window=spec.index,
-                    transactions=outcome.transactions,
-                    collisions=outcome.collisions,
-                )
-            outcomes.append(outcome)
+        outcomes = run_windows(
+            scenario,
+            plan[lo:hi],
+            RngRegistry(seed),
+            fidelity,
+            switch_threshold,
+            model,
+            writer=writer,
+        )
         if writer is not None:
             writer.close()
     except BaseException:

@@ -24,9 +24,10 @@ Builders here do the aggregation:
   telemetry baseline plus a phased event burst that pushes density past
   any reasonable hybrid switch threshold for part of the horizon.
 
-Stream descriptors are frozen dataclasses registered for the worker
-pool's task transport, so flow trials fan out across
-:class:`repro.exec.TrialRunner` workers like any other trial.
+Stream descriptors are frozen dataclasses with a stable canonical
+form (their field dict), so flow trials get content-addressed cache
+keys and fan out across :class:`repro.exec.TrialRunner` workers like
+any other trial.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from ..core.model import effective_density
-from ..exec.pool import register_pool_dataclass
 
 __all__ = [
     "FlowScenario",
@@ -55,7 +55,6 @@ _FRAME_PAYLOAD_BYTES = 8
 _FRAME_AIRTIME = 0.01
 
 
-@register_pool_dataclass
 @dataclass(frozen=True)
 class TransactionStream:
     """One aggregated transaction stream.
@@ -93,7 +92,6 @@ class TransactionStream:
         return effective_density(self.arrival_rate, [self.duration])
 
 
-@register_pool_dataclass
 @dataclass(frozen=True)
 class FlowScenario:
     """A flow-level workload: streams over a windowed horizon."""

@@ -18,7 +18,7 @@ without perturbing it:
 * :mod:`.merge` — heap-merge of per-worker/per-segment trace shards
   into one deterministically ordered stream.
 * :mod:`.diff` — field-by-field comparison of two traces; the
-  mechanical check that ``shards=N``/``--pool`` runs are bit-identical
+  mechanical check that ``shards=N``/``--workers N`` runs are bit-identical
   to serial.
 * :mod:`.record` / :mod:`.cli` — ``python -m repro obs
   {record,summary,top,diff}``.

@@ -3,9 +3,9 @@
 ::
 
     repro obs record --scenario montecarlo --shards 2 --out trace.jsonl
-    repro obs record --scenario montecarlo --shards 2 --workers 2 --pool \\
-        --out pooled.jsonl
-    repro obs diff trace.jsonl pooled.jsonl       # exit 0: bit-identical
+    repro obs record --scenario montecarlo --shards 2 --workers 2 \\
+        --out forked.jsonl
+    repro obs diff trace.jsonl forked.jsonl       # exit 0: bit-identical
     repro obs summary trace.jsonl
     repro obs top --summary SUMMARY.json -n 10
 

@@ -1,7 +1,7 @@
 """Field-by-field comparison of two exported traces.
 
 ``python -m repro obs diff`` turns the parallelism correctness story
-("``shards=N``/``--pool`` runs are bit-identical to serial") into a
+("``shards=N``/``--workers N`` runs are bit-identical to serial") into a
 mechanical check: record two traces of the same scenario, diff them,
 exit 0.  The comparison is streaming — both traces are walked in
 lockstep, so diffing million-event traces needs constant memory — and
@@ -11,7 +11,7 @@ only matches a NaN and ``-0.0`` only matches ``-0.0``.
 Headers are compared leniently: ``writer`` version and ``meta``
 differences are reported as notes, not divergences, because two runs
 of the same scenario at different worker counts legitimately differ
-there (and meta deliberately excludes workers/pool for that reason).
+there (and meta deliberately excludes worker counts for that reason).
 """
 
 from __future__ import annotations

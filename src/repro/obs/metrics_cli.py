@@ -4,8 +4,8 @@
 
     repro flow run --nodes 2000 --fidelity hybrid --metrics serial.jsonl
     repro flow run --nodes 2000 --fidelity hybrid --flow-workers 4 \\
-        --metrics pooled.jsonl
-    repro metrics diff serial.jsonl pooled.jsonl   # exit 0: bit-identical
+        --metrics sharded.jsonl
+    repro metrics diff serial.jsonl sharded.jsonl  # exit 0: bit-identical
     repro metrics show serial.jsonl
     repro metrics export serial.jsonl --out metrics.prom
 

@@ -110,7 +110,7 @@ class TestMonteCarloCommand:
         args = build_parser().parse_args(["montecarlo"])
         assert args.id_bits == 8
         assert args.shards == 1
-        assert args.pool is False
+        assert args.workers == 1
 
     def test_quick_run_prints_table(self, capsys):
         assert main([
@@ -125,7 +125,7 @@ class TestMonteCarloCommand:
         assert main([
             "montecarlo", "--id-bits", "5", "--rate", "4",
             "--horizon", "40", "--trials", "2", "--shards", "2",
-            "--workers", "2", "--pool", "--no-cache",
+            "--workers", "2", "--no-cache",
         ]) == 0
         out = capsys.readouterr().out + capsys.readouterr().err
         assert "shards=2" in out

@@ -1,31 +1,18 @@
-"""Tests for the persistent prefork worker pool (repro.exec.pool).
+"""Tests for the forked worker processes behind ``TrialRunner(workers>1)``.
 
-The load-bearing properties: pooled results are byte-identical to
-serial/forked results, workers are actually reused across runs, a
-crashed worker degrades to structured per-trial failures and is
-respawned, and unpoolable specs fall back to the classic path instead
-of failing.
+Every parallel run forks a fresh set of workers, so the load-bearing
+properties are the ones a worker pool has to keep: results are
+byte-identical to the serial path, non-finite floats survive the pipe,
+deadlines are armed inside each worker, and a crashed worker degrades
+to structured per-trial failures without poisoning the next run.
 """
 
-import dataclasses
 import json
 import math
 import os
+import time
 
-import pytest
-
-from repro.exec import NotPoolable, TrialRunner, TrialSpec, WorkerPool
-from repro.exec.pool import (
-    decode_pool_value,
-    encode_pool_value,
-    register_pool_dataclass,
-    spec_payload,
-)
-
-
-# Module-level trial functions: poolable by module:qualname reference.
-def pid_probe():
-    return float(os.getpid())
+from repro.exec import TrialRunner, TrialSpec
 
 
 def scaled(x, factor=2.0):
@@ -37,8 +24,6 @@ def crash_hard():
 
 
 def sleepy(seconds):
-    import time
-
     time.sleep(seconds)
     return seconds
 
@@ -47,177 +32,62 @@ def weird_floats():
     return {"nan": float("nan"), "inf": float("inf")}
 
 
-@register_pool_dataclass
-@dataclasses.dataclass(frozen=True)
-class Knob:
-    """A registered dataclass kwarg for transport tests."""
-
-    gain: float = 1.0
-
-    def __call__(self, x):
-        return x * self.gain
-
-
-def apply_knob(knob, x):
-    return knob(x)
-
-
-def apply_fn(fn, x):
-    return fn(x)
-
-
-class TestTaskTransport:
-    def test_scalars_round_trip(self):
-        for value in (None, True, 3, "s", 2.5, [1, 2], {"k": [0.5]}):
-            assert decode_pool_value(encode_pool_value(value)) == value
-
-    def test_nonfinite_floats_are_tagged(self):
-        encoded = encode_pool_value([float("nan"), float("inf")])
-        assert json.dumps(encoded)  # strict-JSON safe
-        nan, inf = decode_pool_value(encoded)
-        assert math.isnan(nan) and inf == float("inf")
-
-    def test_module_callable_travels_by_reference(self):
-        encoded = encode_pool_value(scaled)
-        assert encoded == {"__callable__": f"{__name__}:scaled"}
-        assert decode_pool_value(encoded) is scaled
-
-    def test_registered_dataclass_round_trips(self):
-        knob = Knob(gain=3.0)
-        decoded = decode_pool_value(encode_pool_value(knob))
-        assert decoded == knob and isinstance(decoded, Knob)
-
-    def test_lambda_and_unregistered_are_rejected(self):
-        with pytest.raises(NotPoolable):
-            encode_pool_value(lambda: 1)
-
-        @dataclasses.dataclass
-        class Local:
-            x: int = 0
-
-        with pytest.raises(NotPoolable):
-            encode_pool_value(Local())
-        with pytest.raises(NotPoolable):
-            encode_pool_value(object())
-
-    def test_register_requires_a_dataclass(self):
-        with pytest.raises(TypeError):
-            register_pool_dataclass(int)
-
-    def test_spec_payload_none_for_unpoolable_specs(self):
-        assert spec_payload(TrialSpec(fn=lambda: 1, kwargs={}), None, 0) is None
-        bad_kwargs = TrialSpec(fn=scaled, kwargs={"x": object()})
-        assert spec_payload(bad_kwargs, None, 0) is None
-        good = spec_payload(TrialSpec(fn=scaled, kwargs={"x": 2.0}), 1.5, 1)
-        assert good["fn"] == f"{__name__}:scaled"
-        assert good["timeout"] == 1.5 and good["retries"] == 1
-
-
 class TestPoolExecution:
-    def test_workers_are_reused_across_runs(self):
-        with WorkerPool(workers=2) as pool:
-            runner = TrialRunner(workers=2, pool=pool)
-            first = runner.run(
-                [TrialSpec(fn=pid_probe, kwargs={}) for _ in range(4)]
-            )
-            second = runner.run(
-                [TrialSpec(fn=pid_probe, kwargs={}) for _ in range(4)]
-            )
-            pids_first = {o.value for o in first}
-            pids_second = {o.value for o in second}
-            assert pool.forks == 2  # forked once, served twice
-            assert pool.runs_served == 2
-            assert pids_first == pids_second
-            assert len(pids_first) == 2
-            assert runner.telemetry.pool_batches == 2
-            assert runner.telemetry.pool_fallbacks == 0
-
     def test_pooled_results_match_serial_bytes(self):
         specs = lambda: [  # noqa: E731 - fresh specs per runner
             TrialSpec(fn=scaled, kwargs={"x": float(i), "factor": 1.5})
             for i in range(5)
         ]
         serial = TrialRunner(workers=1).run(specs())
-        with WorkerPool(workers=2) as pool:
-            pooled = TrialRunner(workers=2, pool=pool).run(specs())
-        assert [o.value for o in pooled] == [o.value for o in serial]
-        assert all(o.worker is not None for o in pooled)
+        forked = TrialRunner(workers=2).run(specs())
+        assert json.dumps([o.value for o in forked]) == json.dumps(
+            [o.value for o in serial]
+        )
+        assert [o.worker for o in forked] == [0, 1, 0, 1, 0]
 
     def test_nonfinite_results_survive_the_pool(self):
-        with WorkerPool(workers=1) as pool:
-            (outcome,) = TrialRunner(pool=pool).run(
-                [TrialSpec(fn=weird_floats, kwargs={})]
-            )
-        assert math.isnan(outcome.value["nan"])
-        assert outcome.value["inf"] == float("inf")
-
-    def test_registered_dataclass_and_callable_kwargs_execute(self):
-        specs = [
-            TrialSpec(fn=apply_knob, kwargs={"knob": Knob(gain=4.0), "x": 2.0}),
-            TrialSpec(fn=apply_fn, kwargs={"fn": scaled, "x": 3.0}),
-        ]
-        with WorkerPool(workers=2) as pool:
-            runner = TrialRunner(workers=2, pool=pool)
-            outcomes = runner.run(specs)
-        assert [o.value for o in outcomes] == [8.0, 6.0]
-        assert runner.telemetry.pool_fallbacks == 0
-
-    def test_unpoolable_specs_fall_back_and_still_compute(self):
-        specs = [
-            TrialSpec(fn=scaled, kwargs={"x": 1.0}, label="pooled"),
-            TrialSpec(fn=lambda: 42.0, kwargs={}, label="lambda"),
-        ]
-        with WorkerPool(workers=2) as pool:
-            runner = TrialRunner(workers=2, pool=pool)
-            outcomes = runner.run(specs)
-        assert [o.value for o in outcomes] == [2.0, 42.0]
-        assert runner.telemetry.pool_fallbacks == 1
+        # Two pending specs, so both really cross a worker pipe.
+        outcomes = TrialRunner(workers=2).run(
+            [TrialSpec(fn=weird_floats, kwargs={}) for _ in range(2)]
+        )
+        for outcome in outcomes:
+            assert outcome.worker is not None
+            assert math.isnan(outcome.value["nan"])
+            assert outcome.value["inf"] == float("inf")
 
     def test_crash_degrades_to_failures_then_respawns(self):
-        with WorkerPool(workers=2) as pool:
-            runner = TrialRunner(workers=2, pool=pool)
-            outcomes = runner.run(
-                [
-                    TrialSpec(fn=scaled, kwargs={"x": 1.0}, label="ok"),
-                    TrialSpec(fn=crash_hard, kwargs={}, label="crash"),
-                    TrialSpec(fn=scaled, kwargs={"x": 2.0}, label="ok-2"),
-                    TrialSpec(fn=scaled, kwargs={"x": 3.0}, label="mate"),
-                ]
-            )
-            # Slot 0 computes 0 and 2; slot 1 dies on 1, never reaches 3.
-            assert outcomes[0].ok and outcomes[2].ok
-            assert not outcomes[1].ok and not outcomes[3].ok
-            for index in (1, 3):
-                assert outcomes[index].failure.error_type == "WorkerCrashed"
-            assert pool.healthy_workers() == 1
+        runner = TrialRunner(workers=2)
+        outcomes = runner.run(
+            [
+                TrialSpec(fn=scaled, kwargs={"x": 1.0}, label="ok"),
+                TrialSpec(fn=crash_hard, kwargs={}, label="crash"),
+                TrialSpec(fn=scaled, kwargs={"x": 2.0}, label="ok-2"),
+                TrialSpec(fn=scaled, kwargs={"x": 3.0}, label="mate"),
+            ]
+        )
+        # Worker 0 computes 0 and 2; worker 1 dies on 1, never reaches 3.
+        assert outcomes[0].ok and outcomes[2].ok
+        assert not outcomes[1].ok and not outcomes[3].ok
+        for index in (1, 3):
+            assert outcomes[index].failure.error_type == "WorkerCrashed"
 
-            # The next batch respawns the dead slot and runs clean.
-            again = runner.run(
-                [TrialSpec(fn=scaled, kwargs={"x": float(i)}) for i in range(4)]
-            )
-            assert [o.value for o in again] == [0.0, 2.0, 4.0, 6.0]
-            assert pool.healthy_workers() == 2
-            assert pool.respawns == 1
-            assert runner.telemetry.pool_respawns == 1
+        # The next run forks a full set of workers again and runs clean.
+        again = runner.run(
+            [TrialSpec(fn=scaled, kwargs={"x": float(i)}) for i in range(4)]
+        )
+        assert [o.value for o in again] == [0.0, 2.0, 4.0, 6.0]
+        assert [o.worker for o in again] == [0, 1, 0, 1]
+        assert runner.last_telemetry.workers == 2
+        assert runner.last_telemetry.failures == 0
 
     def test_timeouts_apply_inside_pool_workers(self):
-        with WorkerPool(workers=1) as pool:
-            runner = TrialRunner(pool=pool, timeout=0.2)
-            (outcome,) = runner.run(
-                [TrialSpec(fn=sleepy, kwargs={"seconds": 30.0})]
-            )
-        assert not outcome.ok
-        assert outcome.failure.error_type == "TrialTimeout"
-
-    def test_closed_pool_rejects_work_and_close_is_idempotent(self):
-        pool = WorkerPool(workers=1)
-        TrialRunner(pool=pool).run([TrialSpec(fn=scaled, kwargs={"x": 1.0})])
-        pool.close()
-        pool.close()
-        assert pool.healthy_workers() == 0
-        with pytest.raises(RuntimeError):
-            pool.run_specs([TrialSpec(fn=scaled, kwargs={"x": 1.0})], [0])
-
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            WorkerPool(workers=0)
+        runner = TrialRunner(workers=2, timeout=0.2)
+        t0 = time.perf_counter()
+        outcomes = runner.run(
+            [TrialSpec(fn=sleepy, kwargs={"seconds": 30.0}) for _ in range(2)]
+        )
+        assert time.perf_counter() - t0 < 10.0
+        for outcome in outcomes:
+            assert outcome.worker is not None
+            assert not outcome.ok
+            assert outcome.failure.error_type == "TrialTimeout"

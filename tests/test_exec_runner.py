@@ -7,10 +7,12 @@ as structured data rather than exceptions.
 
 import json
 import os
+import random
 import time
 
 import pytest
 
+from repro.core.montecarlo import ExponentialDuration, FixedDuration
 from repro.exec import TrialRunner, TrialSpec, TrialTimeout
 from repro.experiments.persistence import figure_to_json, sweep_to_json
 from repro.experiments.sweep import grid_sweep
@@ -19,6 +21,11 @@ from repro.experiments.sweep import grid_sweep
 def observable(a, b, seed):
     """Pure, fork-safe fake observable (depends on all inputs)."""
     return a * 10.0 + b + (seed % 13) * 0.25
+
+
+def draw_durations(sampler, seed):
+    rng = random.Random(seed)
+    return [sampler(rng) for _ in range(3)]
 
 
 class TestSerialParallelEquality:
@@ -53,6 +60,32 @@ class TestSerialParallelEquality:
             outcomes = TrialRunner(workers=workers).run(specs)
             assert outcomes[0].ok and outcomes[0].value != outcomes[0].value
             assert outcomes[1].value == {"x": [float("inf"), 1.5]}
+
+    def test_dataclass_and_callable_kwargs_reach_forked_workers(self):
+        # Forked workers inherit kwargs by memory: dataclass samplers and
+        # plain callables need no encoding to cross into a worker.
+        specs = [
+            TrialSpec(
+                fn=draw_durations,
+                kwargs={"sampler": FixedDuration(2.5), "seed": 1},
+            ),
+            TrialSpec(
+                fn=draw_durations,
+                kwargs={"sampler": ExponentialDuration(mean=4.0), "seed": 2},
+            ),
+            TrialSpec(
+                fn=draw_durations,
+                kwargs={"sampler": lambda rng: rng.random(), "seed": 3},
+            ),
+        ]
+        serial = TrialRunner(workers=1).run(specs)
+        runner = TrialRunner(workers=2)
+        forked = runner.run(specs)
+        assert runner.last_telemetry.workers == 2
+        assert all(o.ok for o in forked)
+        assert forked[0].value == [2.5, 2.5, 2.5]
+        assert [o.value for o in forked] == [o.value for o in serial]
+        assert [o.worker for o in forked] == [0, 1, 0]
 
 
 class TestShardingAndOrdering:

@@ -61,6 +61,8 @@ class TestGenerateReport:
             generate_report(
                 tmp_path, ReportConfig(scenarios=["not-a-scenario"])
             )
+        # Rejected before any figure was rendered or written.
+        assert list(tmp_path.iterdir()) == []
 
     def test_scenario_registry_covers_all_extensions(self):
         assert {

@@ -2,20 +2,20 @@
 
 Two load-bearing properties of ``repro obs record``:
 
-* the merged trace of a ``shards=N`` run through a worker pool is
+* the merged trace of a ``shards=N`` run across forked workers is
   byte-identical to the serial export of the same scenario — trace
   bytes are a pure function of ``(seed, shards)``;
 * a worker that crashes mid-shard leaves only an orphan ``.tmp`` that
   shard collection drops whole — partial shards are complete-or-
-  excluded, never truncated mid-record — and the respawned worker
-  completes the shard on the next batch.
+  excluded, never truncated mid-record — and the next run's freshly
+  forked worker completes the shard.
 """
 
 import os
 import pathlib
 
 from repro.cli import main
-from repro.exec import TrialRunner, TrialSpec, WorkerPool
+from repro.exec import TrialRunner, TrialSpec
 from repro.obs.envelope import read_trace, write_trace
 from repro.obs.merge import collect_shards, merge_shards
 from repro.obs.record import record_montecarlo
@@ -24,7 +24,6 @@ from repro.sim.trace import TraceRecord
 SCENARIO = dict(id_bits=6, rate=5.0, horizon=40.0, seed=3, shards=2)
 
 
-# Module-level so the pool can transport it by module:qualname reference.
 def flaky_shard_writer(spool, marker):
     """Crash mid-shard on the first call; complete the shard on retry."""
     from repro.obs.envelope import TraceWriter
@@ -56,15 +55,15 @@ class TestPooledTraceIdentity:
     def test_pooled_trace_bytes_match_serial(self, tmp_path):
         serial = tmp_path / "serial.jsonl"
         serial_result = record_montecarlo(serial, **SCENARIO)
-        pooled = tmp_path / "pooled.jsonl"
-        with WorkerPool(workers=2) as pool:
-            runner = TrialRunner(workers=2, pool=pool, profile=True)
-            pooled_result = record_montecarlo(pooled, runner=runner, **SCENARIO)
-        assert pooled_result == serial_result
-        assert pooled.read_bytes() == serial.read_bytes()
-        # Profiling crossed the pool pipe without touching the trace.
+        forked = tmp_path / "forked.jsonl"
+        runner = TrialRunner(workers=2, profile=True)
+        forked_result = record_montecarlo(forked, runner=runner, **SCENARIO)
+        assert runner.telemetry.workers == 2  # both segments ran in forks
+        assert forked_result == serial_result
+        assert forked.read_bytes() == serial.read_bytes()
+        # Profiling crossed the worker pipes without touching the trace.
         assert "exec.trial" in runner.telemetry.spans
-        assert main(["obs", "diff", str(serial), str(pooled)]) == 0
+        assert main(["obs", "diff", str(serial), str(forked)]) == 0
 
     def test_perturbed_trace_diff_exits_nonzero(self, tmp_path, capsys):
         good = tmp_path / "good.jsonl"
@@ -92,26 +91,27 @@ class TestCrashRespawn:
         spool = tmp_path / "spool"
         marker = tmp_path / "marker"
         kwargs = {"spool": str(spool), "marker": str(marker)}
-        with WorkerPool(workers=1) as pool:
-            runner = TrialRunner(workers=1, pool=pool)
-            (outcome,) = runner.run(
-                [TrialSpec(fn=flaky_shard_writer, kwargs=kwargs)]
-            )
-            assert not outcome.ok
-            assert outcome.failure.error_type == "WorkerCrashed"
-            # The crash left a shard cut off mid-record — but only as a
-            # .tmp, which shard collection drops whole.
-            orphan = spool / "shard-0000.jsonl.tmp"
-            assert orphan.exists()
-            assert not orphan.read_text().endswith("\n")
-            assert collect_shards(spool) == []
+        # Two pending specs, so the runner forks: a lone pending spec
+        # runs in-process, where os._exit would take pytest down.
+        specs = [
+            TrialSpec(fn=flaky_shard_writer, kwargs=kwargs),
+            TrialSpec(fn=lambda: 0.0, kwargs={}),
+        ]
+        runner = TrialRunner(workers=2)
+        outcome, mate = runner.run(specs)
+        assert not outcome.ok
+        assert outcome.failure.error_type == "WorkerCrashed"
+        assert mate.ok
+        # The crash left a shard cut off mid-record — but only as a
+        # .tmp, which shard collection drops whole.
+        orphan = spool / "shard-0000.jsonl.tmp"
+        assert orphan.exists()
+        assert not orphan.read_text().endswith("\n")
+        assert collect_shards(spool) == []
 
-            # The respawned worker completes the shard on the next batch.
-            (retry,) = runner.run(
-                [TrialSpec(fn=flaky_shard_writer, kwargs=kwargs)]
-            )
-            assert retry.ok and retry.value == 3.0
-            assert pool.respawns == 1
+        # The next run forks a fresh worker that completes the shard.
+        retry, _ = runner.run(specs)
+        assert retry.ok and retry.value == 3.0
         shards = collect_shards(spool)
         assert shards == [spool / "shard-0000.jsonl"]
         records = list(read_trace(shards[0]))
