@@ -272,7 +272,7 @@ class AffDriver:
     # ------------------------------------------------------------------
     def _on_frame(self, frame: Frame) -> None:
         try:
-            fragment = self.codec.decode(frame.payload)
+            fragment = self.codec.decode_frame(frame)
         except MalformedFragmentError:
             self.stats.malformed_frames += 1
             return

@@ -127,6 +127,8 @@ class InstrumentedReceiver:
         self.malformed_frames = 0
         self.uninstrumented_frames = 0
         self._open: Dict[PacketKey, _OpenPacket] = {}
+        # Lower bound on open packets' ``last_update`` (the clock only grows).
+        self._oldest = self.sim.now
         radio.set_receive_handler(self._on_frame)
 
     # ------------------------------------------------------------------
@@ -157,7 +159,7 @@ class InstrumentedReceiver:
             self.uninstrumented_frames += 1
             return
         try:
-            fragment = self.codec.decode(frame.payload)
+            fragment = self.codec.decode_frame(frame)
         except MalformedFragmentError:
             self.malformed_frames += 1
             return
@@ -197,6 +199,10 @@ class InstrumentedReceiver:
             self.counts.received_aff += 1
 
     def _evict_stale(self, now: float) -> None:
+        # Exact, as in ReassemblyBuffer.evict_stale: while the bound is
+        # fresh, no open packet can be stale, so skip the scan.
+        if not now - self._oldest > self.timeout:
+            return
         stale = [
             key
             for key, state in self._open.items()
@@ -204,6 +210,9 @@ class InstrumentedReceiver:
         ]
         for key in stale:
             del self._open[key]
+        self._oldest = min(
+            (state.last_update for state in self._open.values()), default=now
+        )
 
     # ------------------------------------------------------------------
     def collision_loss_rate(self) -> float:

@@ -22,9 +22,12 @@ reported separately by :meth:`FragmentCodec.intro_header_bits` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from ..util.bits import BitReader, BitWriter, BitstreamError
+
+if TYPE_CHECKING:
+    from ..radio.frame import Frame
 
 __all__ = [
     "DataFragment",
@@ -226,6 +229,20 @@ class FragmentCodec:
         except BitstreamError as exc:
             raise MalformedFragmentError(f"truncated fragment: {exc}") from exc
         raise MalformedFragmentError(f"unknown fragment kind {kind}")
+
+    def decode_frame(self, frame: "Frame") -> Fragment:
+        """:meth:`decode` ``frame.payload``, once per identifier size.
+
+        Every receiver of a transmission holds the same frame and
+        fragments are frozen, so the first receiver decodes and the rest
+        share its fragment.  Malformed payloads are never memoised.
+        """
+        memo = frame.decoded
+        if memo is not None and memo[0] == self.id_bits:
+            return memo[1]
+        fragment = self.decode(frame.payload)
+        frame.decoded = (self.id_bits, fragment)
+        return fragment
 
     def __repr__(self) -> str:
         return f"FragmentCodec(id_bits={self.id_bits})"

@@ -418,7 +418,7 @@ def density_estimation_accuracy(
 
     def observe(frame):
         try:
-            fragment = codec.decode(frame.payload)
+            fragment = codec.decode_frame(frame)
         except MalformedFragmentError:
             return
         if not isinstance(fragment, IntroFragment):

@@ -14,6 +14,7 @@ failure mode the paper describes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Generic, Hashable, List, Optional, Tuple, TypeVar
 
@@ -118,6 +119,9 @@ class ReassemblyBuffer(Generic[K]):
         self.timeout = timeout
         self.max_entries = max_entries
         self._entries: Dict[K, PartialPacket] = {}
+        # Lower bound on every entry's ``last_update`` (inf when empty):
+        # lowered on every touch, made tight again by each real scan.
+        self._oldest = math.inf
         self.stats = ReassemblyStats()
 
     # ------------------------------------------------------------------
@@ -131,6 +135,8 @@ class ReassemblyBuffer(Generic[K]):
             self._entries[key] = entry
             self.stats.started += 1
         entry.last_update = now
+        if now < self._oldest:
+            self._oldest = now
         return entry
 
     def peek(self, key: K) -> Optional[PartialPacket]:
@@ -150,6 +156,10 @@ class ReassemblyBuffer(Generic[K]):
 
     def evict_stale(self, now: float) -> int:
         """Remove entries idle for longer than ``timeout``.  Returns count."""
+        # Exact, not a heuristic: float subtraction is monotone, so no
+        # entry is stale unless ``now - oldest`` already exceeds timeout.
+        if not now - self._oldest > self.timeout:
+            return 0
         stale = [
             key
             for key, entry in self._entries.items()
@@ -157,6 +167,10 @@ class ReassemblyBuffer(Generic[K]):
         ]
         for key in stale:
             del self._entries[key]
+        self._oldest = min(
+            (entry.last_update for entry in self._entries.values()),
+            default=math.inf,
+        )
         self.stats.evicted += len(stale)
         return len(stale)
 

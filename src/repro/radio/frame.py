@@ -53,6 +53,10 @@ class Frame:
         Free-form instrumentation payload (e.g. the true packet key).
     seq:
         Unique frame number for tracing.
+    decoded:
+        ``(id_bits, fragment)`` memo of
+        :meth:`~repro.aff.wire.FragmentCodec.decode_frame`; not part of
+        the frame's identity (no ``__init__``, equality or ``repr``).
     """
 
     payload: bytes
@@ -61,6 +65,7 @@ class Frame:
     payload_bits: int = 0
     ground_truth: Any = None
     seq: int = field(default_factory=lambda: next(_frame_seq))
+    decoded: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         total = 8 * len(self.payload)

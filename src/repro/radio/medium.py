@@ -191,50 +191,41 @@ class BroadcastMedium:
 
     def _resolve(self, txn: Transmission, audience: List[int]) -> None:
         """At end-of-frame: decide per-receiver fate and deliver."""
+        # Fixed for the whole fan-out (handlers may schedule or send, but
+        # the clock does not move): bound once per transmission.
         metrics = self._metrics
+        radios = self._radios
+        stats = self.stats
+        emit = self.recorder.emit
+        frame = txn.frame
+        origin = frame.origin
+        seq = frame.seq
+        now = self.sim.now
         for receiver in audience:
-            radio = self._radios.get(receiver)
+            radio = radios.get(receiver)
             if radio is None:
-                self.stats.out_of_range += 1
+                stats.out_of_range += 1
                 continue
             if self.rf_collisions and self._corrupted_at(txn, receiver):
-                self.stats.rf_collision_drops += 1
+                stats.rf_collision_drops += 1
                 if metrics is not None:
                     metrics.inc("radio.rf_collisions")
-                self.recorder.emit(
-                    self.sim.now,
-                    "frame.drop",
-                    reason="rf_collision",
-                    origin=txn.frame.origin,
-                    receiver=receiver,
-                    seq=txn.frame.seq,
-                )
+                emit(now, "frame.drop", reason="rf_collision",
+                     origin=origin, receiver=receiver, seq=seq)
                 continue
-            if not self.channel_for(txn.frame.origin, receiver).deliver(self.rng):
-                self.stats.channel_drops += 1
+            if not self.channel_for(origin, receiver).deliver(self.rng):
+                stats.channel_drops += 1
                 if metrics is not None:
                     metrics.inc("radio.channel_drops")
-                self.recorder.emit(
-                    self.sim.now,
-                    "frame.drop",
-                    reason="channel",
-                    origin=txn.frame.origin,
-                    receiver=receiver,
-                    seq=txn.frame.seq,
-                )
+                emit(now, "frame.drop", reason="channel",
+                     origin=origin, receiver=receiver, seq=seq)
                 continue
-            self.stats.deliveries += 1
+            stats.deliveries += 1
             if metrics is not None:
                 metrics.inc("radio.frames_rx")
-            self.recorder.emit(
-                self.sim.now,
-                "frame.rx",
-                origin=txn.frame.origin,
-                receiver=receiver,
-                seq=txn.frame.seq,
-                bits=txn.frame.size_bits,
-            )
-            radio._deliver(txn.frame)
+            emit(now, "frame.rx", origin=origin, receiver=receiver, seq=seq,
+                 bits=frame.size_bits)
+            radio._deliver(frame)
         self._active.remove(txn)
         self._recent.append(txn)
         self._prune_recent()

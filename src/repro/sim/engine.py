@@ -12,6 +12,8 @@ The design intentionally mirrors the structure of well-known kernels
 * :class:`Simulator` owns the clock and the event queue.
 * :meth:`Simulator.schedule` posts a callback at ``now + delay`` and
   returns an :class:`EventHandle` that can be cancelled.
+* :meth:`Simulator.run` is the one dispatch loop: it pops and fires
+  events inline.  :meth:`Simulator.step` is ``run(max_events=1)``.
 * Generator-based *processes* (see :mod:`repro.sim.process`) layer a
   coroutine API on top of raw callbacks.
 
@@ -149,7 +151,7 @@ class Simulator:
         EventHandle
             Cancel it with :meth:`EventHandle.cancel`.
         """
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         time = self._now + delay
         handle = EventHandle(time, callback, args)
@@ -177,34 +179,16 @@ class Simulator:
     # Run loop
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Fire the single next pending event.
+        """Fire the single next pending event: ``run(max_events=1)``.
 
         Returns
         -------
         bool
-            False if the queue was empty (nothing fired), else True.
+            False if the queue held no live event (nothing fired), else True.
         """
-        queue = self._queue
-        while queue:
-            time, _tie, _seq, handle = heapq.heappop(queue)
-            if handle.cancelled:
-                continue
-            if time < self._now:  # pragma: no cover - defensive
-                raise SimulationError("event queue time went backwards")
-            self._now = time
-            handle.cancelled = True  # mark as fired; no longer cancellable
-            self._events_processed += 1
-            if self._metrics is not None:
-                self._metrics.inc("engine.events")
-            prof = self._profiler
-            if prof is None:
-                handle.callback(*handle.args)
-            else:
-                t0 = prof.clock()
-                handle.callback(*handle.args)
-                prof.add(self._dispatch_span(handle.callback), prof.clock() - t0)
-            return True
-        return False
+        before = self._events_processed
+        self.run(max_events=1)
+        return self._events_processed != before
 
     def _dispatch_span(self, callback: Callable[..., Any]) -> str:
         """Span name for a dispatched callback, by its defining layer."""
@@ -241,16 +225,38 @@ class Simulator:
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
+        queue = self._queue
+        heappop = heapq.heappop
+        metrics = self._metrics
+        prof = self._profiler
         fired = 0
         try:
-            while self._queue:
-                next_time = self._peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
+            while queue:
+                time, _tie, _seq, handle = queue[0]
+                if handle.cancelled:
+                    heappop(queue)
+                    if not queue:
+                        # A queue that ends in cancelled entries stops
+                        # the run without moving the clock to ``until``.
+                        break
+                    continue
+                if until is not None and time > until:
                     self._now = max(self._now, until)
                     break
-                self.step()
+                heappop(queue)
+                if time < self._now:  # pragma: no cover - defensive
+                    raise SimulationError("event queue time went backwards")
+                self._now = time
+                handle.cancelled = True  # mark as fired; no longer cancellable
+                self._events_processed += 1
+                if metrics is not None:
+                    metrics.inc("engine.events")
+                if prof is None:
+                    handle.callback(*handle.args)
+                else:
+                    t0 = prof.clock()
+                    handle.callback(*handle.args)
+                    prof.add(self._dispatch_span(handle.callback), prof.clock() - t0)
                 fired += 1
                 if max_events is not None and fired >= max_events:
                     break
@@ -260,17 +266,6 @@ class Simulator:
         finally:
             self._running = False
         return self._now
-
-    def _peek_time(self) -> Optional[float]:
-        """Timestamp of the next live event, discarding cancelled ones."""
-        queue = self._queue
-        while queue:
-            head = queue[0]
-            if head[3].cancelled:
-                heapq.heappop(queue)
-                continue
-            return head[0]
-        return None
 
     @property
     def pending(self) -> int:

@@ -61,7 +61,7 @@ class Timeout:
     __slots__ = ("delay",)
 
     def __init__(self, delay: float):
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ProcessError(f"Timeout delay must be >= 0, got {delay}")
         self.delay = delay
 

@@ -1,13 +1,21 @@
 """Integration-style unit tests for the AFF driver over the radio."""
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.aff.driver import AffDriver
+from repro.aff.wire import (
+    FragmentCodec,
+    IntroFragment,
+    MalformedFragmentError,
+    NotifyFragment,
+)
 from repro.core.identifiers import IdentifierSpace, ListeningSelector, UniformSelector
 from repro.core.transactions import TransactionLog
 from repro.net.packets import BitBudget, Packet
+from repro.radio.frame import Frame
 from repro.radio.medium import BroadcastMedium
 from repro.radio.radio import Radio
 from repro.sim.engine import Simulator
@@ -170,3 +178,86 @@ class TestListening:
         drivers[0].radio.send(Frame(payload=b"\xff" * 3, origin=0))
         sim.run()
         assert drivers[1].stats.malformed_frames == 1
+
+
+class TestDecodeOnce:
+    """Every receiver of one transmission shares one decode of its frame."""
+
+    @pytest.fixture
+    def decode_calls(self, monkeypatch):
+        calls = []
+        real = FragmentCodec.decode
+
+        def counting(codec, data):
+            calls.append(codec.id_bits)
+            return real(codec, data)
+
+        monkeypatch.setattr(FragmentCodec, "decode", counting)
+        return calls
+
+    @staticmethod
+    def _mesh(id_bits_per_node):
+        sim = Simulator()
+        medium = BroadcastMedium(
+            sim, FullMesh(range(len(id_bits_per_node))), rf_collisions=False
+        )
+        delivered = []
+        drivers = [
+            AffDriver(
+                Radio(medium, node),
+                UniformSelector(IdentifierSpace(bits), random.Random(node)),
+                deliver=(lambda p, node=node: delivered.append(node)),
+            )
+            for node, bits in enumerate(id_bits_per_node)
+        ]
+        return sim, medium, drivers, delivered
+
+    def test_one_decode_per_transmission(self, decode_calls):
+        sim, medium, drivers, delivered = self._mesh([8] * 5)
+        drivers[0].send(Packet(payload=b"reading" * 6, origin=0))
+        sim.run()
+        assert sorted(delivered) == [1, 2, 3, 4]
+        assert medium.stats.deliveries == 4 * medium.stats.frames_sent
+        assert len(decode_calls) == medium.stats.frames_sent
+
+    def test_two_identifier_sizes_decode_once_each(self, decode_calls):
+        sim, medium, drivers, _ = self._mesh([8, 8, 8, 4, 4])
+        wide, narrow = FragmentCodec(8), FragmentCodec(4)
+        payload = wide.encode_intro(
+            IntroFragment(identifier=0xA5, total_length=30, checksum=0x1234)
+        )
+        drivers[0].radio.send(Frame(payload=payload, origin=0))
+        sim.run()
+        assert decode_calls == [8, 4]
+        # Each width still sees its own parse of the same bytes, whatever
+        # width the frame's memo last held.
+        frame = Frame(payload=payload, origin=0)
+        for codec in (wide, narrow, narrow, wide):
+            assert codec.decode_frame(frame) == codec.decode(payload)
+
+    def test_malformed_frame_counted_at_every_receiver(self, decode_calls):
+        sim, medium, drivers, _ = self._mesh([8] * 5)
+        drivers[0].radio.send(Frame(payload=b"\xff" * 3, origin=0))
+        sim.run()
+        assert [d.stats.malformed_frames for d in drivers] == [0, 1, 1, 1, 1]
+        assert len(decode_calls) == 4
+
+    def test_malformed_frame_is_never_memoised(self):
+        codec = FragmentCodec(8)
+        frame = Frame(payload=b"\xff" * 3, origin=0)
+        for _ in range(2):
+            with pytest.raises(MalformedFragmentError):
+                codec.decode_frame(frame)
+        assert frame.decoded is None
+
+    def test_memo_slot_outside_frame_identity(self):
+        codec = FragmentCodec(8)
+        payload = codec.encode_notify(NotifyFragment(identifier=9))
+        decoded = Frame(payload=payload, origin=2, seq=77)
+        fresh = Frame(payload=payload, origin=2, seq=77)
+        assert codec.decode_frame(decoded) == NotifyFragment(identifier=9)
+        assert decoded.decoded is not None
+        assert decoded == fresh
+        assert repr(decoded) == repr(fresh)
+        slot = {f.name: f for f in dataclasses.fields(Frame)}["decoded"]
+        assert not (slot.init or slot.repr or slot.compare)

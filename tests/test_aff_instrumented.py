@@ -7,8 +7,10 @@ import pytest
 
 from repro.aff.driver import AffDriver
 from repro.aff.instrumented import InstrumentedReceiver
+from repro.aff.wire import FragmentCodec, IntroFragment
 from repro.core.identifiers import IdentifierSpace, UniformSelector
 from repro.net.packets import Packet
+from repro.radio.frame import Frame
 from repro.radio.medium import BroadcastMedium
 from repro.radio.radio import Radio
 from repro.sim.engine import Simulator
@@ -124,3 +126,50 @@ class TestGroundTruthIsolation:
         # wire alone (no ground truth needed to detect it).
         stats = receiver.reassembler.stats
         assert stats.span_conflicts + stats.intro_conflicts >= 1
+
+
+class TestStaleOpenPackets:
+    """An open packet idle for longer than the timeout stops counting as
+    a collision partner; one idle for exactly the timeout still counts."""
+
+    @staticmethod
+    def _arrive(sim, receiver, at, packet, identifier, index, count=2):
+        payload = FragmentCodec(8).encode_intro(
+            IntroFragment(identifier=identifier, total_length=10, checksum=0)
+        )
+        frame = Frame(
+            payload=payload,
+            origin=0,
+            ground_truth={
+                "packet": packet,
+                "identifier": identifier,
+                "count": count,
+                "index": index,
+            },
+        )
+        sim.schedule_at(at, receiver.radio._deliver, frame)
+
+    @pytest.mark.parametrize("at, lost", [(31.0, 0), (30.5, 1)])
+    def test_timeout_boundary(self, at, lost):
+        sim, _drivers, receiver = build()
+        # "older" is past the timeout at both times, so eviction runs.
+        self._arrive(sim, receiver, 0.0, "older", 3, 0)
+        self._arrive(sim, receiver, 0.5, "stale", 5, 0)
+        self._arrive(sim, receiver, at, "fresh", 5, 0)
+        self._arrive(sim, receiver, at, "fresh", 5, 1)
+        sim.run()
+        assert receiver.counts.received_unique == 1
+        assert receiver.counts.would_be_lost == lost
+
+    def test_survivor_of_a_scan_still_expires(self):
+        sim, _drivers, receiver = build()
+        self._arrive(sim, receiver, 0.0, "old", 5, 0)
+        self._arrive(sim, receiver, 10.0, "survivor", 7, 0)
+        # At 31 s "old" is evicted and "survivor" (10 s) is kept ...
+        self._arrive(sim, receiver, 31.0, "single", 9, 0, count=1)
+        # ... and at 41 s "survivor" is stale too, so it is no partner.
+        self._arrive(sim, receiver, 41.0, "late", 7, 0)
+        self._arrive(sim, receiver, 41.0, "late", 7, 1)
+        sim.run()
+        assert receiver.counts.received_unique == 2
+        assert receiver.counts.would_be_lost == 0

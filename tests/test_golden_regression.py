@@ -10,11 +10,14 @@ If a change is *intentional* (a bug fix that legitimately alters
 results), update the constants here and note it in EXPERIMENTS.md.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core import model
 from repro.exec import canonical_point, derive_trial_seed
 from repro.experiments.harness import CollisionTrialConfig, replicate, run_collision_trial
+from repro.radio.channel import BernoulliChannel
 
 
 class TestAnalyticGoldenValues:
@@ -85,6 +88,82 @@ class TestSimulationGoldenValues:
         )
         assert result.would_be_lost == 46
         assert result.received_unique == 356
+
+    # Full TrialResult pins for the medium and driver paths the Figure-4
+    # grid does not exercise: RF collisions, a lossy channel, a
+    # duty-cycled listener and receiver collision notifications.
+    @pytest.mark.parametrize(
+        "overrides, expected",
+        [
+            pytest.param(
+                dict(selector="uniform", rf_collisions=True),
+                dict(
+                    received_unique=72, received_aff=55, would_be_lost=71,
+                    collision_loss_rate=0.9861111111111112,
+                    e2e_loss_rate=0.2361111111111111,
+                    measured_density=4.667884469914174, packets_offered=356,
+                    ground_truth_collision_rate=0.36235955056179775,
+                    frames_delivered=3930, frames_dropped_rf=4970,
+                    frames_dropped_channel=0,
+                ),
+                id="rf_collisions",
+            ),
+            pytest.param(
+                dict(
+                    selector="uniform",
+                    channel_factory=lambda sender, receiver: BernoulliChannel(0.1),
+                ),
+                dict(
+                    received_unique=195, received_aff=138, would_be_lost=181,
+                    collision_loss_rate=0.9282051282051282,
+                    e2e_loss_rate=0.2923076923076923,
+                    measured_density=4.667884469914174, packets_offered=356,
+                    ground_truth_collision_rate=0.36235955056179775,
+                    frames_delivered=8020, frames_dropped_rf=0,
+                    frames_dropped_channel=880,
+                ),
+                id="bernoulli_channel",
+            ),
+            pytest.param(
+                dict(selector="listening", listen_duty_cycle=0.5),
+                dict(
+                    received_unique=356, received_aff=281, would_be_lost=75,
+                    collision_loss_rate=0.21067415730337077,
+                    e2e_loss_rate=0.21067415730337077,
+                    measured_density=4.667884469914174, packets_offered=356,
+                    ground_truth_collision_rate=0.23595505617977527,
+                    frames_delivered=8900, frames_dropped_rf=0,
+                    frames_dropped_channel=0,
+                ),
+                id="listen_duty_cycle",
+            ),
+            pytest.param(
+                dict(selector="listening", notify_collisions=True),
+                dict(
+                    received_unique=356, received_aff=297, would_be_lost=59,
+                    collision_loss_rate=0.16573033707865167,
+                    e2e_loss_rate=0.16573033707865167,
+                    measured_density=4.667884469914174, packets_offered=356,
+                    ground_truth_collision_rate=0.16573033707865167,
+                    frames_delivered=9675, frames_dropped_rf=0,
+                    frames_dropped_channel=0,
+                ),
+                id="notify_collisions",
+            ),
+        ],
+    )
+    def test_trial_result_pins(self, overrides, expected):
+        config = CollisionTrialConfig(
+            id_bits=4, n_senders=5, duration=10.0, seed=7, **overrides
+        )
+        result = run_collision_trial(config)
+        assert result.config is config
+        observed = {
+            f.name: getattr(result, f.name)
+            for f in dataclasses.fields(result)
+            if f.name != "config"
+        }
+        assert observed == expected
 
     def test_observability_changes_no_result_bit(self, trial):
         """Tracing and span profiling are observational only.

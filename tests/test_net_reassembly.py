@@ -1,10 +1,12 @@
 """Unit and property tests for the generic reassembly buffer."""
 
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.reassembly import PartialPacket, ReassemblyBuffer
+from repro.net.reassembly import PartialPacket, ReassemblyBuffer, ReassemblyStats
 
 
 class TestPartialPacket:
@@ -150,3 +152,105 @@ class TestReassemblyBuffer:
         buf: ReassemblyBuffer[int] = ReassemblyBuffer()
         assert buf.peek(5) is None
         assert len(buf) == 0
+
+
+class _FullScanOracle:
+    """The buffer's eviction semantics with a full scan on every call."""
+
+    def __init__(self, timeout, max_entries):
+        self.timeout = timeout
+        self.max_entries = max_entries
+        self.last_update = {}  # key -> last_update, in buffer dict order
+        self.stats = ReassemblyStats()
+
+    def get_or_create(self, key, now):
+        if key not in self.last_update:
+            if len(self.last_update) >= self.max_entries:
+                victim = min(self.last_update, key=self.last_update.__getitem__)
+                del self.last_update[victim]
+                self.stats.evicted += 1
+            self.stats.started += 1
+        self.last_update[key] = now
+
+    def complete(self, key):
+        del self.last_update[key]
+        self.stats.completed += 1
+
+    def drop(self, key):
+        if self.last_update.pop(key, None) is not None:
+            self.stats.evicted += 1
+
+    def evict_stale(self, now):
+        stale = [
+            key
+            for key, last in self.last_update.items()
+            if now - last > self.timeout
+        ]
+        for key in stale:
+            del self.last_update[key]
+        self.stats.evicted += len(stale)
+        return len(stale)
+
+
+# Dyadic steps against an integer timeout: idle times land exactly on
+# the timeout often, so a ``>=``-for-``>`` slip changes what is evicted.
+_STEPS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.5])
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["get", "get", "complete", "drop", "evict"]),
+        st.integers(0, 5),
+        _STEPS,
+    ),
+    max_size=60,
+)
+
+
+class TestEvictionAgainstFullScan:
+    """``evict_stale`` skips its scan via a lower bound on ``last_update``;
+    every op sequence must evict exactly what a full scan evicts."""
+
+    def _check(self, ops, monotone, max_entries):
+        buf: ReassemblyBuffer[int] = ReassemblyBuffer(
+            timeout=2.0, max_entries=max_entries
+        )
+        oracle = _FullScanOracle(timeout=2.0, max_entries=max_entries)
+        now = 0.0
+        for op, key, step in ops:
+            # Non-monotone runs draw absolute times, as a caller relying
+            # on ``Reassembler.accept``'s default ``now=0.0`` would.
+            now = now + step if monotone else 2 * step
+            if op == "get":
+                buf.get_or_create(key, now)
+                oracle.get_or_create(key, now)
+            elif op == "complete" and key in oracle.last_update:
+                buf.complete(key)
+                oracle.complete(key)
+            elif op == "drop":
+                buf.drop(key)
+                oracle.drop(key)
+            elif op == "evict":
+                evicted = buf.evict_stale(now)
+                assert evicted == oracle.evict_stale(now)
+                if evicted:
+                    # A call that evicted has scanned, so the bound must
+                    # be tight again; a stale bound would send every later
+                    # call through a full scan.
+                    assert buf._oldest == min(
+                        oracle.last_update.values(), default=math.inf
+                    )
+            assert list(buf.keys()) == list(oracle.last_update)
+            assert {k: buf.peek(k).last_update for k in buf.keys()} == (
+                oracle.last_update
+            )
+            assert buf.stats == oracle.stats
+            assert buf._oldest <= min(oracle.last_update.values(), default=math.inf)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ops=_OPS, max_entries=st.integers(1, 4))
+    def test_monotone_now_matches_full_scan(self, ops, max_entries):
+        self._check(ops, monotone=True, max_entries=max_entries)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_OPS, max_entries=st.integers(1, 4))
+    def test_any_now_matches_full_scan(self, ops, max_entries):
+        self._check(ops, monotone=False, max_entries=max_entries)

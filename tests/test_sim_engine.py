@@ -58,6 +58,23 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule(-0.1, lambda: None)
 
+    def test_nan_delay_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), lambda: None)
+        fired = []
+        sim.schedule(1.0, fired.append, "one")
+        sim.schedule(0.5, fired.append, "half")
+        sim.run()
+        assert fired == ["half", "one"]
+        assert sim.now == 1.0
+
+    def test_schedule_at_nan_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending == 0
+
     def test_schedule_at_absolute_time(self):
         sim = Simulator()
         hits = []
@@ -153,6 +170,30 @@ class TestRunLoop:
         sim.schedule(2.0, hits.append, 2)
         assert sim.step() is True
         assert hits == [1]
+
+    def test_step_skips_cancelled_heads(self):
+        sim = Simulator()
+        hits = []
+        sim.schedule(1.0, hits.append, 1).cancel()
+        sim.schedule(2.0, hits.append, 2)
+        assert sim.step() is True
+        assert hits == [2]
+        assert sim.now == 2.0
+        assert sim.events_processed == 1
+
+    def test_step_on_cancelled_only_queue_fires_nothing(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None).cancel()
+        assert sim.step() is False
+        assert sim.now == 0.0
+        assert sim.events_processed == 0
+
+    def test_run_until_over_cancelled_tail_keeps_clock(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(3.0, lambda: None).cancel()
+        assert sim.run(until=5.0) == 1.0
+        assert sim.run(until=5.0) == 5.0
 
     def test_events_processed_counter(self):
         sim = Simulator()

@@ -58,6 +58,10 @@ class TestTimeout:
         with pytest.raises(ProcessError):
             Timeout(-1.0)
 
+    def test_nan_timeout_rejected(self):
+        with pytest.raises(ProcessError):
+            Timeout(float("nan"))
+
 
 class TestSignal:
     def test_fire_wakes_waiter_with_value(self):
