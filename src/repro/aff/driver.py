@@ -6,8 +6,9 @@ This is the reproduction of the paper's Linux fragmentation driver
 * ``send(packet)`` draws an AFF identifier from the node's selector,
   fragments, and queues every fragment on the radio (introduction
   first).
-* received frames are decoded and fed to the reassembler; verified
-  packets go to the delivery callback.
+* received frames are decoded and, when something consumes the
+  result, fed to the reassembler; verified packets go to the delivery
+  callback.
 * in *listening* mode the driver snoops all traffic on the air and
   feeds overheard identifiers to the selector (Section 3.2 / 5.1).
 
@@ -27,7 +28,7 @@ from ..core.identifiers import IdentifierSelector
 from ..core.transactions import Transaction, TransactionLog
 from ..net.checksum import ChecksumFn, fletcher16
 from ..net.packets import BitBudget, Packet
-from ..obs.metrics import active_metrics
+from ..obs.metrics import MetricsRegistry, active_metrics
 from ..radio.frame import Frame
 from ..radio.radio import Radio
 from ..sim.rng import fallback_stream
@@ -52,6 +53,13 @@ DeliveryCallback = Callable[[bytes], None]
 ID_WIDTH_BUCKET_EDGES = (4, 8, 12, 16)
 
 
+def observe_collision_width(metrics: Optional[MetricsRegistry], id_bits: int) -> None:
+    """Bucket one reassembler-detected collision by identifier width (the
+    paper's independent variable for Figure 4); no-op with metrics off."""
+    if metrics is not None:
+        metrics.observe("aff.id_collision_bits", id_bits, ID_WIDTH_BUCKET_EDGES)
+
+
 @dataclass
 class AffDriverStats:
     """Driver-level counters (send side + decode errors)."""
@@ -73,7 +81,10 @@ class AffDriver:
     selector:
         Identifier selection algorithm (uniform / listening / oracle).
     deliver:
-        Callback for successfully reassembled payloads.
+        Callback for successfully reassembled payloads.  A driver with
+        neither this nor ``notify_collisions`` is send-only: it decodes
+        and listens to overheard frames but never reassembles them,
+        since nothing would read the result.
     listening:
         When True, snoop all received introductions into the selector —
         the paper's listening heuristic.  (The selector must make use of
@@ -83,6 +94,8 @@ class AffDriver:
         whenever this node's reassembler detects one — the paper's
         Section 3.2 mitigation for hidden terminals.  Listening nodes
         that hear the notification avoid that identifier for a while.
+        Detection needs reassembly, so this also makes the driver
+        reassemble what it overhears.
     listen_duty_cycle:
         Fraction of overheard introductions actually fed to the selector
         (default 1.0 = always listening).  Models the paper's remark that
@@ -139,6 +152,10 @@ class AffDriver:
             on_conflict=self._on_reassembly_conflict,
             keep_orphan_spans=keep_orphan_spans,
         )
+        # Reassembly runs only for a consumer: the delivery callback, or
+        # the conflict detection that drives notifications.  A send-only
+        # node needs nothing past the introduction's header (_on_frame).
+        self._reassembles = deliver is not None or notify_collisions
         self.txn_log = txn_log
         self.budget = budget if budget is not None else BitBudget()
         self.stats = AffDriverStats()
@@ -238,18 +255,12 @@ class AffDriver:
     def _on_reassembly_conflict(self, identifier: int) -> None:
         """Reassembler-detected identifier collision on this node.
 
-        Buckets the collision by the identifier space's width (the
-        paper's independent variable for Figure 4), then broadcasts the
+        Books the collision-width histogram, then broadcasts the
         collision notification iff that behaviour was asked for —
         keeping the notification protocol's on-air behaviour identical
         to a build without metrics.
         """
-        if self._metrics is not None:
-            self._metrics.observe(
-                "aff.id_collision_bits",
-                self.selector.space.bits,
-                ID_WIDTH_BUCKET_EDGES,
-            )
+        observe_collision_width(self._metrics, self.selector.space.bits)
         if self.notify_collisions:
             self._broadcast_notification(identifier)
 
@@ -282,11 +293,14 @@ class AffDriver:
             self.selector.note_collision(fragment.identifier)
             self.stats.notifications_heard += 1
             return
-        if self.listening and isinstance(fragment, IntroFragment):
-            if self.listen_duty_cycle < 1.0:
-                if self._listen_rng.random() >= self.listen_duty_cycle:
-                    self.reassembler.accept(fragment, now=self.sim.now)
-                    return
+        if (
+            self.listening
+            and isinstance(fragment, IntroFragment)
+            and (
+                self.listen_duty_cycle >= 1.0
+                or self._listen_rng.random() < self.listen_duty_cycle
+            )
+        ):
             self.selector.observe(fragment.identifier)
             self.selector.note_transaction_begin(fragment.identifier)
             # The overheard transaction stays "visible" for roughly as long
@@ -297,16 +311,11 @@ class AffDriver:
             self.sim.schedule(
                 ttl, self.selector.note_transaction_end, fragment.identifier
             )
-        self.reassembler.accept(fragment, now=self.sim.now)
+        if self._reassembles:
+            self.reassembler.accept(fragment, now=self.sim.now)
 
     def _estimate_transaction_seconds(self, total_length: int) -> float:
         """Rough airtime of one whole packet's fragments (x4 for queueing)."""
         fragments = self.fragmenter.fragments_for_size(total_length)
         frame_airtime = (8 * self.radio.max_frame_bytes) / self.radio.medium.bitrate
         return 4.0 * fragments * frame_airtime
-
-    # ------------------------------------------------------------------
-    @property
-    def delivered(self):
-        """Payloads this node has successfully reassembled."""
-        return self.reassembler.delivered

@@ -43,10 +43,12 @@ from dataclasses import dataclass, field
 from typing import Dict, Set, Tuple
 
 from ..net.checksum import ChecksumFn, fletcher16
+from ..obs.metrics import active_metrics
 from ..radio.frame import Frame
 from ..radio.radio import Radio
+from .driver import observe_collision_width
 from .reassembler import Reassembler
-from .wire import FragmentCodec, MalformedFragmentError
+from .wire import FragmentCodec, MalformedFragmentError, NotifyFragment
 
 __all__ = ["InstrumentedReceiver", "InstrumentedCounts"]
 
@@ -104,6 +106,9 @@ class InstrumentedReceiver:
         Must match the senders' configuration.  The timeout also bounds
         how long an incomplete packet stays eligible for collision
         detection.
+    notify_collisions:
+        Broadcast an identifier-collision notification whenever the
+        reassembler detects a conflict (Section 3.2).
     """
 
     def __init__(
@@ -116,11 +121,13 @@ class InstrumentedReceiver:
     ):
         self.radio = radio
         self.codec = FragmentCodec(id_bits)
+        self.notify_collisions = notify_collisions
         self.notifications_sent = 0
+        self._metrics = active_metrics()
         self.reassembler = Reassembler(
             checksum=checksum,
             timeout=reassembly_timeout,
-            on_conflict=(self._broadcast_notification if notify_collisions else None),
+            on_conflict=self._on_reassembly_conflict,
         )
         self.timeout = reassembly_timeout
         self.counts = InstrumentedCounts()
@@ -136,11 +143,15 @@ class InstrumentedReceiver:
     def sim(self):
         return self.radio.medium.sim
 
+    def _on_reassembly_conflict(self, identifier: int) -> None:
+        """Book the collision-width histogram, then notify iff asked."""
+        observe_collision_width(self._metrics, self.codec.id_bits)
+        if self.notify_collisions:
+            self._broadcast_notification(identifier)
+
     def _broadcast_notification(self, identifier: int) -> None:
         """Section 3.2: tell the (possibly mutually hidden) senders that
         ``identifier`` just collided at this receiver."""
-        from .wire import NotifyFragment
-
         encoded = self.codec.encode_notify(NotifyFragment(identifier=identifier))
         self.radio.send(
             Frame(

@@ -55,7 +55,7 @@ class _SenderBase:
     ):
         if packet_bytes < 0:
             raise ValueError("packet_bytes must be >= 0")
-        if duration <= 0:
+        if not duration > 0:  # also rejects NaN, which would never end
             raise ValueError("duration must be positive")
         self.sim = sim
         self.driver = driver
@@ -128,7 +128,7 @@ class PeriodicSender(_SenderBase):
 
     def __init__(self, *args, interval: float = 1.0, jitter: float = 0.0, **kwargs):
         super().__init__(*args, **kwargs)
-        if interval <= 0:
+        if not interval > 0:
             raise ValueError("interval must be positive")
         if jitter < 0:
             raise ValueError("jitter must be >= 0")
@@ -152,7 +152,7 @@ class PoissonSender(_SenderBase):
 
     def __init__(self, *args, rate: float = 1.0, **kwargs):
         super().__init__(*args, **kwargs)
-        if rate <= 0:
+        if not rate > 0:
             raise ValueError("rate must be positive")
         self.rate = rate
 
@@ -185,9 +185,9 @@ class BurstySender(_SenderBase):
         **kwargs,
     ):
         super().__init__(*args, **kwargs)
-        if mean_on <= 0 or mean_off <= 0:
+        if not (mean_on > 0 and mean_off > 0):
             raise ValueError("mean_on and mean_off must be positive")
-        if burst_interval <= 0:
+        if not burst_interval > 0:
             raise ValueError("burst_interval must be positive")
         self.mean_on = mean_on
         self.mean_off = mean_off

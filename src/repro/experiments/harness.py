@@ -13,6 +13,7 @@ uniform-random or listening.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Dict, List, Optional
@@ -91,6 +92,17 @@ class CollisionTrialConfig:
             )
         if self.n_senders < 1:
             raise ValueError("need at least one sender")
+        # Checked here so a bad value fails before any trial is built:
+        # an infinite duration or bitrate never ends a trial, a NaN
+        # timeout never evicts, and a zero host link divides by zero.
+        for name in ("duration", "bitrate", "host_link_bitrate", "reassembly_timeout"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if not 0.0 <= self.listen_duty_cycle <= 1.0:
+            raise ValueError(
+                f"listen_duty_cycle must be in [0, 1], got {self.listen_duty_cycle!r}"
+            )
 
 
 @dataclass

@@ -224,6 +224,9 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
+        if until is not None and until != until:
+            # ``time > nan`` is always False, so the run would never stop.
+            raise SimulationError("run() until must not be NaN")
         self._running = True
         queue = self._queue
         heappop = heapq.heappop

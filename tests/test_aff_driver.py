@@ -180,6 +180,104 @@ class TestListening:
         assert drivers[1].stats.malformed_frames == 1
 
 
+class _RecordingRandom(random.Random):
+    """A ``random.Random`` that keeps every ``random()`` draw."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = []
+
+    def random(self):
+        value = super().random()
+        self.draws.append(value)
+        return value
+
+
+class TestReassemblyConsumers:
+    """A driver reassembles only when something reads the result: a
+    ``deliver`` callback, or notification-driving conflict detection."""
+
+    CASES = [(False, 1.0), (True, 1.0), (True, 0.5)]
+
+    @staticmethod
+    def _overhear(listening, duty_cycle, **consumer):
+        """Three send-only nodes stream to a fourth, which sends too."""
+        sim = Simulator()
+        medium = BroadcastMedium(sim, FullMesh(range(4)), rf_collisions=False)
+        senders = [
+            AffDriver(
+                Radio(medium, node),
+                UniformSelector(IdentifierSpace(4), random.Random(node)),
+            )
+            for node in range(3)
+        ]
+        space = IdentifierSpace(4)
+        selector = (
+            ListeningSelector(space, random.Random(9))
+            if listening
+            else UniformSelector(space, random.Random(9))
+        )
+        observed = []
+        real_observe = selector.observe
+
+        def observe(identifier):
+            observed.append(identifier)
+            real_observe(identifier)
+
+        selector.observe = observe
+        driver = AffDriver(
+            Radio(medium, 3),
+            selector,
+            listening=listening,
+            listen_duty_cycle=duty_cycle,
+            listen_rng=_RecordingRandom(5),
+            **consumer,
+        )
+        payloads = random.Random(7)
+        for i in range(24):
+            origin = i % 3
+            packet = Packet(payload=payloads.randbytes(60), origin=origin)
+            sim.schedule(0.001 * i, senders[origin].send, packet)
+        picks = []
+        for i in range(4):
+            packet = Packet(payload=b"own" * 10, origin=3)
+            sim.schedule(0.1 + 0.1 * i, lambda p=packet: picks.append(driver.send(p)))
+        sim.run()
+        assert driver.radio.frames_received > 0
+        return driver, observed, picks
+
+    @pytest.mark.parametrize("listening, duty_cycle", CASES)
+    def test_send_only_driver_never_reassembles(self, listening, duty_cycle):
+        driver, _, _ = self._overhear(listening, duty_cycle)
+        assert driver.reassembler.stats.fragments_accepted == 0
+
+    @pytest.mark.parametrize("listening, duty_cycle", CASES)
+    def test_listening_unchanged_by_skipping_reassembly(self, listening, duty_cycle):
+        delivered = []
+        quiet, quiet_seen, quiet_picks = self._overhear(listening, duty_cycle)
+        loud, loud_seen, loud_picks = self._overhear(
+            listening, duty_cycle, deliver=delivered.append
+        )
+        assert loud.reassembler.stats.fragments_accepted > 0
+        assert delivered
+        assert quiet_seen == loud_seen
+        assert quiet._listen_rng.draws == loud._listen_rng.draws
+        assert quiet_picks == loud_picks
+        if listening:
+            assert quiet_seen
+        if duty_cycle < 1.0:
+            assert 0 < len(quiet_seen) < len(quiet._listen_rng.draws)
+
+    def test_notifying_driver_reassembles_and_notifies(self):
+        driver, _, _ = self._overhear(False, 1.0, notify_collisions=True)
+        stats = driver.reassembler.stats
+        assert stats.fragments_accepted > 0
+        assert stats.intro_conflicts + stats.span_conflicts > 0
+        assert driver.stats.notifications_sent == (
+            stats.intro_conflicts + stats.span_conflicts
+        )
+
+
 class TestDecodeOnce:
     """Every receiver of one transmission shares one decode of its frame."""
 

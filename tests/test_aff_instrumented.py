@@ -9,7 +9,9 @@ from repro.aff.driver import AffDriver
 from repro.aff.instrumented import InstrumentedReceiver
 from repro.aff.wire import FragmentCodec, IntroFragment
 from repro.core.identifiers import IdentifierSpace, UniformSelector
+from repro.experiments.harness import CollisionTrialConfig, run_collision_trial
 from repro.net.packets import Packet
+from repro.obs.metrics import collecting
 from repro.radio.frame import Frame
 from repro.radio.medium import BroadcastMedium
 from repro.radio.radio import Radio
@@ -126,6 +128,38 @@ class TestGroundTruthIsolation:
         # wire alone (no ground truth needed to detect it).
         stats = receiver.reassembler.stats
         assert stats.span_conflicts + stats.intro_conflicts >= 1
+
+
+class TestReceiverMetrics:
+    """Only the receiver reassembles in the testbed, so it alone books
+    the ``aff.*`` receive metrics, the collision-width histogram too."""
+
+    def test_collision_width_histogram_counts_receiver_conflicts(self):
+        with collecting() as registry:
+            sim, drivers, receiver = build(sequences=[[5], [5]])
+            drivers[0].send(Packet(payload=b"A" * 60, origin=0))
+            drivers[1].send(Packet(payload=b"B" * 60, origin=1))
+            sim.run()
+        stats = receiver.reassembler.stats
+        conflicts = stats.intro_conflicts + stats.span_conflicts
+        assert conflicts >= 1
+        edges, buckets = registry.histogram("aff.id_collision_bits")
+        assert edges == (4, 8, 12, 16)
+        assert buckets == [0, conflicts, 0, 0, 0]
+        assert registry.counter("aff.id_collisions") == conflicts
+        assert receiver.notifications_sent == 0
+
+    def test_trial_metrics_describe_the_receiver(self):
+        config = CollisionTrialConfig(id_bits=4, duration=3.0, seed=2)
+        with collecting() as registry:
+            result = run_collision_trial(config)
+        _, buckets = registry.histogram("aff.id_collision_bits")
+        assert sum(buckets) == registry.counter("aff.id_collisions") > 0
+        # Every fragment aired reaches the one receiver exactly once.
+        assert registry.counter("aff.fragments_rx") == registry.counter(
+            "aff.fragments_tx"
+        )
+        assert registry.counter("aff.packets_delivered") == result.received_aff
 
 
 class TestStaleOpenPackets:

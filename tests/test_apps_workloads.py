@@ -223,3 +223,31 @@ class TestValidation:
         with pytest.raises(ValueError):
             ContinuousStreamSender(sim, drivers[0], node_id=0,
                                    packet_bytes=1, duration=0.0)
+
+    # ``now >= nan`` is never true, so a NaN duration used to run forever;
+    # constructing the sender must reject it before any simulation.
+    @pytest.mark.parametrize(
+        "sender_cls",
+        [ContinuousStreamSender, PeriodicSender, PoissonSender, BurstySender],
+    )
+    def test_nan_duration_rejected(self, sender_cls):
+        sim, drivers = build()
+        with pytest.raises(ValueError):
+            sender_cls(sim, drivers[0], node_id=0, packet_bytes=1,
+                       duration=float("nan"))
+
+    @pytest.mark.parametrize(
+        "sender_cls, option",
+        [
+            (PeriodicSender, "interval"),
+            (PoissonSender, "rate"),
+            (BurstySender, "mean_on"),
+            (BurstySender, "mean_off"),
+            (BurstySender, "burst_interval"),
+        ],
+    )
+    def test_nan_timing_rejected(self, sender_cls, option):
+        sim, drivers = build()
+        with pytest.raises(ValueError):
+            sender_cls(sim, drivers[0], node_id=0, packet_bytes=1,
+                       duration=1.0, **{option: float("nan")})

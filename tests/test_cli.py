@@ -73,6 +73,42 @@ class TestSimulatedCommands:
         out = capsys.readouterr().out
         assert "mesh.listening" in out
 
+    # Both scenarios run send-only AffDrivers, which skip reassembly;
+    # their tables must not move with that.
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            (
+                "efficiency",
+                "scenario: efficiency — measured end-to-end efficiency, "
+                "AFF vs static\n\n"
+                "metric        value \n"
+                "------------  ------\n"
+                "aff_9bit      0.1538\n"
+                "static_32bit  0.0870\n",
+            ),
+            (
+                "density-estimation",
+                "scenario: density-estimation — estimating T from overheard "
+                "introductions\n\n"
+                "metric               value \n"
+                "-------------------  ------\n"
+                "ground_truth         4.7296\n"
+                "instantaneous        3.0000\n"
+                "instantaneous_error  0.3657\n"
+                "ewma                 4.2594\n"
+                "ewma_error           0.0994\n"
+                "windowed             3.8570\n"
+                "windowed_error       0.1845\n"
+                "littles_law          3.8638\n"
+                "littles_law_error    0.1831\n",
+            ),
+        ],
+    )
+    def test_send_only_scenario_stdout_pinned(self, capsys, name, expected):
+        assert main(["scenario", name, "--duration", "10", "--seed", "0"]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_report_writes_files(self, tmp_path, capsys):
         out_dir = tmp_path / "report"
         assert main([

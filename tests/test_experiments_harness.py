@@ -32,6 +32,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             CollisionTrialConfig(n_senders=0)
 
+    # Each of these used to misbehave inside the trial: inf duration or
+    # bitrate hangs, a NaN timeout never evicts, a zero host link
+    # divides by zero.  The config must refuse them up front.
+    @pytest.mark.parametrize(
+        "field", ["duration", "bitrate", "host_link_bitrate", "reassembly_timeout"]
+    )
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
+    def test_timing_fields_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CollisionTrialConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan")])
+    def test_listen_duty_cycle_must_be_a_fraction(self, value):
+        with pytest.raises(ValueError, match="listen_duty_cycle"):
+            CollisionTrialConfig(listen_duty_cycle=value)
+
     def test_host_gap_positive(self):
         assert CollisionTrialConfig().host_gap > 0
 

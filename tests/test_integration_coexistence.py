@@ -84,16 +84,18 @@ class TestAffPlusFlooding:
             Radio(medium, 0, max_frame_bytes=64),
             UniformSelector(IdentifierSpace(8), rngs.stream("f")),
         )
+        delivered = []
         aff = AffDriver(
             Radio(medium, 1, max_frame_bytes=64),
             UniformSelector(IdentifierSpace(8), rngs.stream("a")),
+            deliver=delivered.append,
         )
         for i in range(20):
             flood.originate(bytes([i]) * 10)
         sim.run()
         # The AFF driver saw 20 foreign frames; none delivered anything.
         assert aff.radio.frames_received == 20
-        assert aff.delivered == []
+        assert delivered == []
 
 
 class TestInterestPlusAff:

@@ -69,6 +69,18 @@ class TestScheduling:
         assert fired == ["half", "one"]
         assert sim.now == 1.0
 
+    def test_run_until_nan_rejected(self):
+        # ``time > nan`` is never true, so such a run would never stop.
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "one")
+        with pytest.raises(SimulationError):
+            sim.run(until=float("nan"))
+        assert fired == []
+        assert sim.now == 0.0
+        assert sim.run(until=2.0) == 2.0
+        assert fired == ["one"]
+
     def test_schedule_at_nan_rejected(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
