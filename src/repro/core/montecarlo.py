@@ -31,13 +31,20 @@ time-weighted density with a few NumPy sorts and scans instead of one
   pure function of ``(seed, shards)``; segments fan out across a
   :class:`repro.exec.TrialRunner`'s workers when one is passed.
 
+Arrivals with a :class:`FixedDuration` and every identifier are drawn
+in bulk (:func:`_poisson_times`, :func:`_draw_identifiers`) from the
+stream's Mersenne Twister words, bit-identical to the per-draw
+``expovariate`` / ``randrange`` loops on three invariants: the same MT
+words in the same order, ``math.log`` for every gap, and the stream's
+end state.  Samplers that draw (:class:`ExponentialDuration`, lambdas)
+interleave their draws with the gaps and keep the per-draw loop.
+
 See ``docs/parallel.md`` for the sharding determinism contract.
 """
 
 from __future__ import annotations
 
 import base64
-import bisect
 import math
 import pathlib
 import random
@@ -100,6 +107,103 @@ class MonteCarloResult:
 
 
 # ----------------------------------------------------------------------
+# Bulk draws from a stream's Mersenne Twister words
+# ----------------------------------------------------------------------
+#: Most arrivals one bulk chunk draws, so a long horizon never holds
+#: its whole word stream at once.
+_CHUNK_ARRIVALS = 1 << 18
+
+#: ``random()``'s scale: 53 random bits to a double in ``[0, 1)``.
+_RES53 = 2.0**-53
+
+
+def _words(rng: random.Random, count: int) -> np.ndarray:
+    """The stream's next ``count`` 32-bit outputs, in draw order.
+
+    One booked draw, ``getrandbits(32 * count)``: CPython fills the
+    integer from its least significant word up, one MT output per word,
+    so the little-endian words are the outputs in draw order on every
+    platform.
+    """
+    blob = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+    return np.frombuffer(blob, dtype="<u4")
+
+
+def _poisson_times(
+    rate: float, rng: random.Random, start: float, stop: float
+) -> np.ndarray:
+    """Poisson arrival times in ``[start, stop)``, drawn in bulk.
+
+    Bit-identical to ``time += rng.expovariate(rate)`` repeated until
+    ``time >= stop``, on three invariants:
+
+    * the same MT words in the same order: ``random()`` is rebuilt from
+      word pairs as ``((a >> 5) * 2**26 + (b >> 6)) * 2**-53``, exactly
+      CPython's ``genrand_res53``;
+    * ``math.log`` (libm, as ``expovariate`` uses), never NumPy's SIMD
+      log, whose rounding may differ; the negation, the division and
+      the sequential ``np.add.accumulate`` round like the scalar loop;
+    * the stream's end state: the chunk that crosses ``stop`` is rewound
+      with ``getstate``/``setstate`` and exactly the consumed words are
+      drawn again, so a later draw from the stream sees what it would
+      after the per-draw loop.
+    """
+    if not (0 < rate < math.inf and math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError("bulk arrivals need a finite positive rate and finite bounds")
+    chunks: List[np.ndarray] = []
+    time = start
+    while True:
+        expected = max(rate * (stop - time), 0.0)
+        count = int(min(expected + 4.0 * math.sqrt(expected) + 16.0, _CHUNK_ARRIVALS))
+        state = rng.getstate()
+        words = _words(rng, 2 * count)
+        uniform = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * _RES53
+        logs = np.array(list(map(math.log, (1.0 - uniform).tolist())))
+        gaps = -logs / rate
+        gaps[0] += time
+        times = np.add.accumulate(gaps)
+        crossed = int(np.searchsorted(times, stop))
+        if crossed < count:
+            if crossed + 1 < count:
+                rng.setstate(state)
+                _words(rng, 2 * (crossed + 1))
+            chunks.append(times[:crossed])
+            break
+        chunks.append(times)
+        time = float(times[-1])
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+
+def _draw_identifiers(space: IdentifierSpace, rng: random.Random, n: int) -> np.ndarray:
+    """``n`` uniform identifiers, bit-identical to ``space.sample(rng)`` n times.
+
+    ``randrange(size)`` is ``getrandbits(k)`` with ``k =
+    size.bit_length()``, redrawn while ``r >= size``.  A ``k``-bit draw
+    takes ``ceil(k / 32)`` words, low word first, the last one shifted
+    right by the unused bits.  Each round draws exactly as many
+    candidates as identifiers are still missing; the per-draw loop
+    would need at least that many, so nothing is overdrawn and the
+    stream needs no rewind.
+    """
+    size = space.size
+    bits = size.bit_length()
+    per_draw = -(-bits // 32)
+    out = np.empty(n, dtype=np.int64)
+    filled = 0
+    while filled < n:
+        need = n - filled
+        words = _words(rng, need * per_draw).reshape(need, per_draw).astype(np.uint64)
+        words[:, -1] >>= np.uint64(32 * per_draw - bits)
+        draws = words[:, 0]
+        for j in range(1, per_draw):
+            draws = draws | (words[:, j] << np.uint64(32 * j))
+        kept = draws[draws < size]
+        out[filled:filled + len(kept)] = kept
+        filled += len(kept)
+    return out
+
+
+# ----------------------------------------------------------------------
 # The event core
 # ----------------------------------------------------------------------
 def _generate_arrivals(
@@ -108,13 +212,21 @@ def _generate_arrivals(
     rng: random.Random,
     start: float,
     stop: float,
-) -> Tuple[List[float], List[float]]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Poisson arrivals in ``[start, stop)``: ``(start_times, durations)``.
 
     Draw order (inter-arrival gap, then duration, repeated) is part of
     the determinism contract — reordering it re-rolls every recorded
-    experiment.
+    experiment.  A :class:`FixedDuration` draws nothing, so its gaps
+    come from :func:`_poisson_times` in bulk; samplers that draw keep
+    the per-draw loop.
     """
+    if type(duration_sampler) is FixedDuration:
+        times = _poisson_times(arrival_rate, rng, start, stop)
+        seconds = duration_sampler.seconds
+        if len(times) and not seconds >= 0:
+            raise ValueError("duration sampler returned a negative or NaN duration")
+        return times, np.full(len(times), seconds, dtype=np.float64)
     starts: List[float] = []
     durations: List[float] = []
     expovariate = rng.expovariate
@@ -124,11 +236,11 @@ def _generate_arrivals(
         if time >= stop:
             break
         duration = duration_sampler(rng)
-        if duration < 0:
-            raise ValueError("duration sampler returned a negative duration")
+        if not duration >= 0:
+            raise ValueError("duration sampler returned a negative or NaN duration")
         starts.append(time)
         durations.append(duration)
-    return starts, durations
+    return np.array(starts, dtype=np.float64), np.array(durations, dtype=np.float64)
 
 
 def _collision_flags(
@@ -429,23 +541,21 @@ def _montecarlo_segment(
     lo, hi = _segment_bounds(horizon, shards, index)
     space = IdentifierSpace(id_bits)
     with span("core.sample"):
-        starts, durations = _generate_arrivals(
+        begin, lengths = _generate_arrivals(
             arrival_rate, duration_sampler, rng, lo, hi
         )
-        sample = space.sample
-        identifiers = [sample(rng) for _ in starts]
-    begin = np.asarray(starts, dtype="<f8")
-    lengths = np.asarray(durations, dtype=np.float64)
-    ident = np.asarray(identifiers, dtype=_id_dtype(id_bits))
+        ident = _draw_identifiers(space, rng, len(begin))
     with span("core.replay"):
         flagged = np.flatnonzero(_collision_flags(begin, lengths, ident)).tolist()
     end = begin + lengths
+    starts = begin.tolist()
+    identifiers = ident.tolist()
     if trace_path is not None:
         from ..obs.envelope import write_trace
 
         write_trace(
             trace_path,
-            _segment_records(starts, durations, identifiers, index),
+            _segment_records(starts, lengths.tolist(), identifiers, index),
             meta={"segment": index, "shards": shards},
         )
     # Everything O(n) that the parent would otherwise do per segment is
@@ -459,8 +569,8 @@ def _montecarlo_segment(
     ]
     return {
         "n": len(starts),
-        "starts": _pack(begin),
-        "identifiers": _pack(ident),
+        "starts": _pack(np.asarray(begin, dtype="<f8")),
+        "identifiers": _pack(ident.astype(_id_dtype(id_bits))),
         "flagged": flagged,
         "tails": tails,
         "sum_duration": sum(ends) - sum(starts),
@@ -623,6 +733,16 @@ def _simulate_sharded(
 # ----------------------------------------------------------------------
 # Public entry points
 # ----------------------------------------------------------------------
+def _check_run(arrival_rate: float, horizon: float, warmup: float) -> None:
+    """Reject a run that could never end or never count, before any draw."""
+    if not 0 < arrival_rate < math.inf:
+        raise ValueError("arrival_rate must be positive and finite")
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
+    if math.isnan(warmup):
+        raise ValueError("warmup must not be NaN")
+
+
 def simulate_collision_rate(
     id_bits: int,
     arrival_rate: float,
@@ -677,10 +797,7 @@ def simulate_collision_rate(
     the ground-truth log exempts) never occurs — matching the model's
     assumption of distinct contending nodes.
     """
-    if arrival_rate <= 0:
-        raise ValueError("arrival_rate must be positive")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    _check_run(arrival_rate, horizon, warmup)
     if shards < 1:
         raise ValueError("shards must be >= 1")
     if shards > 1:
@@ -712,8 +829,7 @@ def simulate_collision_rate(
         starts, durations = _generate_arrivals(
             arrival_rate, duration_sampler, rng, 0.0, horizon
         )
-        sample = space.sample
-        identifiers = [sample(rng) for _ in starts]
+        identifiers = _draw_identifiers(space, rng, len(starts))
     with span("core.replay"):
         flags = _collision_flags(starts, durations, identifiers)
         density = _measured_density(starts, durations)
@@ -724,7 +840,9 @@ def simulate_collision_rate(
         _write_merged_trace(
             spool,
             [
-                _segment_records(starts, durations, identifiers, 0),
+                _segment_records(
+                    starts.tolist(), durations.tolist(), identifiers.tolist(), 0
+                ),
                 _collision_records(
                     [(starts, identifiers, np.flatnonzero(flags).tolist())]
                 ),
@@ -735,7 +853,7 @@ def simulate_collision_rate(
         )
 
     # Arrivals are time-ordered, so the warmup cut is a prefix.
-    first = bisect.bisect_left(starts, warmup)
+    first = int(np.searchsorted(starts, warmup))
     tracked = len(starts) - first
     if not tracked:
         return MonteCarloResult(
@@ -814,6 +932,7 @@ def replicate_collision_rate(
 
     if trials < 1:
         raise ValueError("need at least one trial")
+    _check_run(arrival_rate, horizon, warmup)
     if shards < 1:
         raise ValueError("shards must be >= 1")
     runner = runner if runner is not None else TrialRunner()

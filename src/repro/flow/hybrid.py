@@ -9,9 +9,9 @@ for.  :func:`simulate` runs one scenario at a chosen fidelity:
 ``flow``
     every window sampled analytically (:mod:`repro.flow.sampler`);
 ``frame``
-    every window's arrivals drawn one by one and flagged in one batch by
-    the Monte Carlo ground truth's collision kernel
-    (:func:`repro.core.montecarlo._collision_flags`);
+    every window's arrivals and identifiers drawn in bulk by the Monte
+    Carlo ground truth's kernels and flagged in one batch by its
+    collision kernel (:func:`repro.core.montecarlo._collision_flags`);
 ``hybrid``
     windows whose offered density reaches ``switch_threshold`` drop to
     frame fidelity, the rest stay flow-level, and the outcomes stitch
@@ -36,7 +36,12 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..core.identifiers import IdentifierSpace
-from ..core.montecarlo import FixedDuration, _collision_flags, _generate_arrivals
+from ..core.montecarlo import (
+    FixedDuration,
+    _collision_flags,
+    _draw_identifiers,
+    _generate_arrivals,
+)
 from ..obs.envelope import TraceWriter
 from ..obs.metrics import active_metrics
 from ..obs.spans import span
@@ -71,36 +76,44 @@ def frame_window(
     ``flow.frame.<k>.identifiers``, and every arrival flagged by
     :func:`repro.core.montecarlo._collision_flags` — the same collision
     criterion, tie rules and all, as the Monte Carlo ground truth.
+    Both draws are bulk (:func:`repro.core.montecarlo._generate_arrivals`
+    with a :class:`~repro.core.montecarlo.FixedDuration`, and
+    :func:`repro.core.montecarlo._draw_identifiers`), bit-identical to
+    drawing one arrival and one identifier at a time, and the arrays
+    stay NumPy from the draw to the collision kernel.
 
     With ``writer`` the window streams one record per transaction in
     arrival order (strictly inside ``(t0, t1)``, so a range shard's
     records stay time-sorted around the window boundary records the
     caller emits at ``t0``/``t1``).
     """
-    starts: List[float] = []
-    durations: List[float] = []
-    orders: List[int] = []
-    for order, stream in enumerate(scenario.streams):
+    starts: List[np.ndarray] = [np.zeros(0)]
+    durations: List[np.ndarray] = [np.zeros(0)]
+    for stream in scenario.streams:
         lo = max(spec.t0, stream.start)
         hi = min(spec.t1, stream.stop)
         if hi <= lo or stream.arrival_rate <= 0:
             continue
         rng = registry.stream(f"flow.frame.{spec.index}.arrivals.{stream.label}")
-        stream_starts, stream_durations = _generate_arrivals(
+        times, lengths = _generate_arrivals(
             stream.arrival_rate, FixedDuration(stream.duration), rng, lo, hi
         )
-        starts.extend(stream_starts)
-        durations.extend(stream_durations)
-        orders.extend([order] * len(stream_starts))
-    merged = np.lexsort((orders, starts))
-    space = IdentifierSpace(scenario.id_bits)
+        starts.append(times)
+        durations.append(lengths)
+    # A stable sort of the stream-ordered concatenation breaks time ties
+    # by stream order.
+    begin = np.concatenate(starts)
+    merged = np.argsort(begin, kind="stable")
+    begin = begin[merged]
     id_rng = registry.stream(f"flow.frame.{spec.index}.identifiers")
-    sample = space.sample
-    identifiers = [sample(id_rng) for _ in starts]
-    begin = np.asarray(starts)[merged]
-    flags = _collision_flags(begin, np.asarray(durations)[merged], identifiers)
+    identifiers = _draw_identifiers(
+        IdentifierSpace(scenario.id_bits), id_rng, len(begin)
+    )
+    flags = _collision_flags(begin, np.concatenate(durations)[merged], identifiers)
     if writer is not None:
-        for when, ident, collided in zip(begin.tolist(), identifiers, flags.tolist()):
+        for when, ident, collided in zip(
+            begin.tolist(), identifiers.tolist(), flags.tolist()
+        ):
             writer.emit(
                 when,
                 "flow.txn",

@@ -75,11 +75,13 @@ class TransactionStream:
     def __post_init__(self) -> None:
         if not self.label:
             raise ValueError("stream label must be non-empty")
-        if self.arrival_rate < 0:
-            raise ValueError("arrival_rate must be >= 0")
-        if self.duration <= 0:
+        if not 0 <= self.arrival_rate < math.inf:
+            raise ValueError("arrival_rate must be finite and >= 0")
+        if not self.duration > 0:
             raise ValueError("duration must be positive")
-        if self.stop <= self.start:
+        if math.isnan(self.start):
+            raise ValueError("stream start must not be NaN")
+        if not self.stop > self.start:
             raise ValueError("stream must end after it starts")
 
     def overlap(self, t0: float, t1: float) -> float:
@@ -104,9 +106,9 @@ class FlowScenario:
     def __post_init__(self) -> None:
         if self.id_bits < 0:
             raise ValueError("id_bits must be >= 0")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if self.window <= 0 or self.window > self.horizon:
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
+        if not 0 < self.window <= self.horizon:
             raise ValueError("window must be in (0, horizon]")
         if not self.streams:
             raise ValueError("scenario needs at least one stream")

@@ -23,8 +23,10 @@ from repro.core.montecarlo import (
     ExponentialDuration,
     FixedDuration,
     _collision_flags,
+    _draw_identifiers,
     _generate_arrivals,
     _measured_density,
+    _poisson_times,
     _simulate_collision_rate_reference,
     replicate_collision_rate,
     simulate_collision_rate,
@@ -69,6 +71,27 @@ def _oracle(starts, durations, identifiers):
     _replay(starts, durations, identifiers, log, warmup=0.0)
     flags = [log.collided(txn) for txn in log.transactions]
     return flags, log.measured_density()
+
+
+def _per_draw_arrivals(rate, sampler, rng, start, stop):
+    """The per-draw arrival loop the bulk kernels replaced, as lists.
+
+    Kept as the oracle: one ``expovariate`` gap, then one duration,
+    until the time reaches ``stop``.
+    """
+    starts, durations = [], []
+    time = start
+    while True:
+        time += rng.expovariate(rate)
+        if time >= stop:
+            return starts, durations
+        starts.append(time)
+        durations.append(sampler(rng))
+
+
+def _per_draw_identifiers(bits, rng, n):
+    """The per-draw identifier loop: ``randrange(2**bits)`` ``n`` times."""
+    return [rng.randrange(1 << bits) for _ in range(n)]
 
 
 #: Dyadic times make exact ties (equal starts, an end exactly at a
@@ -229,6 +252,39 @@ class TestMonteCarlo:
                 8, 1.0, lambda r: -1.0, horizon=10.0, rng=random.Random(8)
             )
 
+    @pytest.mark.parametrize(
+        "rate, horizon, warmup",
+        [
+            (math.nan, 10.0, 0.0),
+            (math.inf, 10.0, 0.0),
+            (5.0, math.nan, 0.0),
+            (5.0, math.inf, 0.0),
+            (5.0, 10.0, math.nan),
+        ],
+    )
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_rejects_unbounded_runs_before_any_draw(self, rate, horizon, warmup, shards):
+        rng = random.Random(4) if shards == 1 else None
+        before = rng.getstate() if rng is not None else None
+        with pytest.raises(ValueError):
+            simulate_collision_rate(
+                6, rate, FixedDuration(1.0), horizon=horizon, warmup=warmup,
+                rng=rng, seed=None if shards == 1 else 1, shards=shards,
+            )
+        if rng is not None:
+            assert rng.getstate() == before
+
+    @pytest.mark.parametrize(
+        "sampler", [FixedDuration(math.nan), lambda r: math.nan]
+    )
+    def test_rejects_nan_durations(self, sampler):
+        with pytest.raises(ValueError):
+            simulate_collision_rate(6, 5.0, sampler, horizon=10.0, seed=1)
+
+    def test_replicate_rejects_unbounded_runs(self):
+        with pytest.raises(ValueError):
+            replicate_collision_rate(6, math.nan, FixedDuration(1.0), trials=2)
+
 
 class TestDurationSamplers:
     def test_fixed_duration_is_constant(self):
@@ -355,7 +411,7 @@ class TestBatchKernel:
         old = sorted(
             zip(starts, orders, durations), key=lambda e: (e[0], e[1])
         )
-        merged = np.lexsort((orders, starts))
+        merged = np.argsort(np.asarray(starts), kind="stable")
         assert [(starts[k], orders[k], durations[k]) for k in merged] == old
         rng = random.Random(seed)
         identifiers = [rng.randrange(2) for _ in old]
@@ -377,9 +433,8 @@ class TestBatchKernel:
         """``simulate_collision_rate`` == the replay pipeline it replaced,
         warmup cut included."""
         rng = random.Random(seed)
-        starts, durations = _generate_arrivals(5.0, sampler, rng, 0.0, 30.0)
-        space = IdentifierSpace(bits)
-        identifiers = [space.sample(rng) for _ in starts]
+        starts, durations = _per_draw_arrivals(5.0, sampler, rng, 0.0, 30.0)
+        identifiers = _per_draw_identifiers(bits, rng, len(starts))
         log = TransactionLog()
         tracked = _replay(starts, durations, identifiers, log, warmup)
         mc = simulate_collision_rate(
@@ -392,6 +447,105 @@ class TestBatchKernel:
             assert mc.collision_rate == collided / len(tracked)
         else:
             assert math.isnan(mc.collision_rate)
+
+
+#: Identifier widths at every word-layout edge: one word, a full word,
+#: the first two-word draw, and the widest supported space.
+_ID_BITS = [0, 1, 2, 5, 16, 31, 32, 33, 62]
+
+
+class TestBulkDraws:
+    """The bulk kernels against the per-draw loops, values and stream
+    end state bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.one_of(
+            st.sampled_from([1e-4, 0.05, 1.0, 5.0, 37.5, 400.0]),
+            st.floats(min_value=1e-3, max_value=200.0),
+        ),
+        st.sampled_from([0.0, 0.5, 7.25, 123.456]),
+        st.sampled_from([0.0, 1e-3, 0.5, 10.0, 30.0]),
+    )
+    @example(0, 1e-4, 0.0, 1.0)  # almost surely no arrival
+    @example(3, 5.0, 7.25, 0.0)  # empty window: one gap drawn
+    def test_poisson_times_match_per_draw_loop(self, seed, rate, start, width):
+        plain, bulk = random.Random(seed), random.Random(seed)
+        expected, _ = _per_draw_arrivals(
+            rate, FixedDuration(1.0), plain, start, start + width
+        )
+        got = _poisson_times(rate, bulk, start, start + width)
+        assert got.dtype == np.float64
+        assert got.tolist() == expected
+        assert bulk.getstate() == plain.getstate()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.sampled_from(_ID_BITS),
+        st.integers(min_value=0, max_value=300),
+    )
+    def test_identifiers_match_per_draw_loop(self, seed, bits, n):
+        plain, bulk = random.Random(seed), random.Random(seed)
+        expected = _per_draw_identifiers(bits, plain, n)
+        got = _draw_identifiers(IdentifierSpace(bits), bulk, n)
+        assert got.tolist() == expected
+        assert bulk.getstate() == plain.getstate()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.sampled_from([0.01, 2.0, 9.5]),
+        st.sampled_from([0.0, 3.5]),
+        st.sampled_from(_ID_BITS),
+    )
+    def test_arrivals_then_identifiers_share_one_stream(self, seed, rate, start, bits):
+        """Monte Carlo draws identifiers from the arrivals' stream next,
+        so the arrival kernel's end state decides every identifier."""
+        plain, bulk = random.Random(seed), random.Random(seed)
+        starts, durations = _per_draw_arrivals(
+            rate, FixedDuration(0.5), plain, start, start + 20.0
+        )
+        identifiers = _per_draw_identifiers(bits, plain, len(starts))
+        got_starts, got_durations = _generate_arrivals(
+            rate, FixedDuration(0.5), bulk, start, start + 20.0
+        )
+        got_ids = _draw_identifiers(IdentifierSpace(bits), bulk, len(got_starts))
+        assert got_starts.tolist() == starts
+        assert got_durations.tolist() == durations
+        assert got_ids.tolist() == identifiers
+        assert bulk.getstate() == plain.getstate()
+
+    def test_chunked_horizon_matches_per_draw_loop(self, monkeypatch):
+        import repro.core.montecarlo as mc
+
+        monkeypatch.setattr(mc, "_CHUNK_ARRIVALS", 7)
+        for seed in range(5):
+            plain, bulk = random.Random(seed), random.Random(seed)
+            expected, _ = _per_draw_arrivals(
+                3.0, FixedDuration(1.0), plain, 1.0, 40.0
+            )
+            assert len(expected) > 7 * 5
+            assert _poisson_times(3.0, bulk, 1.0, 40.0).tolist() == expected
+            assert bulk.getstate() == plain.getstate()
+
+    @pytest.mark.parametrize(
+        "rate, start, stop",
+        [
+            (math.nan, 0.0, 1.0),
+            (math.inf, 0.0, 1.0),
+            (0.0, 0.0, 1.0),
+            (1.0, math.nan, 1.0),
+            (1.0, 0.0, math.inf),
+        ],
+    )
+    def test_poisson_times_reject_unbounded_runs(self, rate, start, stop):
+        rng = random.Random(1)
+        before = rng.getstate()
+        with pytest.raises(ValueError):
+            _poisson_times(rate, rng, start, stop)
+        assert rng.getstate() == before
 
 
 class TestSharding:
@@ -425,21 +579,20 @@ class TestSharding:
 
     def test_stitch_matches_brute_force_oracle(self):
         """Sharded collision counts equal O(n^2) overlap ground truth."""
-        from repro.core.identifiers import IdentifierSpace
         from repro.exec.keys import segment_seed
 
         bits, rate, horizon = 5, 4.0, 60.0
-        for seed, shards in itertools.product((1, 2, 3), (2, 3, 5)):
+        samplers = (ExponentialDuration(1.0), FixedDuration(1.0))
+        for seed, shards, sampler in itertools.product((1, 2, 3), (2, 3, 5), samplers):
             txns = []
             for i in range(shards):
                 lo = (horizon * i) / shards
                 hi = (horizon * (i + 1)) / shards
                 rng = random.Random(segment_seed(seed, i))
-                starts, durations = _generate_arrivals(
-                    rate, ExponentialDuration(1.0), rng, lo, hi
+                starts, durations = _per_draw_arrivals(
+                    rate, sampler, rng, lo, hi
                 )
-                space = IdentifierSpace(bits)
-                idents = [space.sample(rng) for _ in starts]
+                idents = _per_draw_identifiers(bits, rng, len(starts))
                 txns += [
                     (starts[k], starts[k] + durations[k], idents[k])
                     for k in range(len(starts))
@@ -454,7 +607,7 @@ class TestSharding:
                         collided.add(b)
 
             mc = simulate_collision_rate(
-                bits, rate, ExponentialDuration(1.0),
+                bits, rate, sampler,
                 horizon=horizon, seed=seed, shards=shards,
             )
             assert mc.transactions == len(txns)
@@ -491,9 +644,8 @@ class TestSharding:
         value = _montecarlo_segment(bits, 5.0, sampler, 40.0, 2, 1, seed=77)
         segment = json.loads(json.dumps(value))
         rng = random.Random(77)
-        starts, _ = _generate_arrivals(5.0, sampler, rng, 20.0, 40.0)
-        space = IdentifierSpace(bits)
-        identifiers = [space.sample(rng) for _ in starts]
+        starts, _ = _per_draw_arrivals(5.0, sampler, rng, 20.0, 40.0)
+        identifiers = _per_draw_identifiers(bits, rng, len(starts))
         packed_starts, packed_ids = _head(segment, math.inf, _id_dtype(bits))
         assert packed_starts.tolist() == starts
         assert packed_ids.tolist() == identifiers

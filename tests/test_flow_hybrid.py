@@ -109,6 +109,32 @@ class TestFrameWindowBitIdentity:
         assert perturbed == fresh
 
 
+class TestFrameWindowUnderSanitizer:
+    """The bulk draws stay visible to DetSan's draw ledger."""
+
+    def test_frame_streams_are_booked_and_results_unchanged(self):
+        from repro.analysis.sanitizer import DetSanContext, sanitizing
+
+        scenario = _burst_scenario()
+        plain = simulate(scenario, 5, fidelity="frame")
+        with sanitizing(DetSanContext(seed=0)) as san:
+            watched = simulate(scenario, 5, fidelity="frame")
+            payloads = san.observations()
+        assert watched == plain
+        draws = {}
+        for payload in payloads:
+            draws.update(payload.get("draws", {}))
+        for spec in window_plan(scenario):
+            names = [f"flow.frame.{spec.index}.identifiers"] + [
+                f"flow.frame.{spec.index}.arrivals.{stream.label}"
+                for stream in scenario.streams
+                if stream.overlap(spec.t0, spec.t1) > 0
+            ]
+            for name in names:
+                assert name in draws
+                assert all("montecarlo" in site for site in draws[name])
+
+
 class TestFrameAccuracy:
     def test_frame_rate_tracks_model_in_stationary_window(self):
         scenario = figure4_scenario(4, 5.0, horizon=300.0, window=50.0)

@@ -44,6 +44,24 @@ class TestTransactionStream:
         with pytest.raises(ValueError):
             TransactionStream(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(arrival_rate=math.nan),
+            dict(arrival_rate=math.inf),
+            dict(duration=math.nan),
+            dict(start=math.nan),
+            dict(stop=math.nan),
+        ],
+    )
+    def test_rejects_non_finite_descriptors(self, kwargs):
+        fields = {"label": "s", "arrival_rate": 1.0, "duration": 1.0, **kwargs}
+        with pytest.raises(ValueError):
+            TransactionStream(**fields)
+
+    def test_open_ended_stream_is_allowed(self):
+        assert TransactionStream("s", 1.0, 1.0).stop == math.inf
+
 
 class TestFlowScenario:
     def test_rejects_duplicate_labels(self):
@@ -60,6 +78,15 @@ class TestFlowScenario:
         stream = TransactionStream("s", 1.0, 1.0)
         with pytest.raises(ValueError):
             FlowScenario(8, 10.0, 20.0, (stream,))
+
+    @pytest.mark.parametrize(
+        "horizon, window",
+        [(math.nan, 10.0), (math.inf, 10.0), (100.0, math.nan)],
+    )
+    def test_rejects_non_finite_horizon_and_window(self, horizon, window):
+        stream = TransactionStream("s", 1.0, 1.0)
+        with pytest.raises(ValueError):
+            FlowScenario(8, horizon, window, (stream,))
 
 
 class TestBuilders:
