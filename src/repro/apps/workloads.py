@@ -18,12 +18,12 @@ any driver exposing ``send(Packet)`` (AFF or static).
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Callable, Optional
 
 from ..net.packets import Packet
 from ..sim.engine import Simulator
-from ..sim.process import Process, Timeout, spawn
 from ..sim.rng import fallback_stream
 
 __all__ = [
@@ -41,7 +41,14 @@ def random_payload(rng: random.Random, size_bytes: int) -> bytes:
 
 
 class _SenderBase:
-    """Shared plumbing: spawn a process that offers packets to a driver."""
+    """Shared plumbing: a chain of simulator callbacks that offers packets
+    to a driver.
+
+    :meth:`start` posts one zero-delay event that runs :meth:`_begin`;
+    each step then schedules the next, so a sender is a small state
+    machine on :meth:`Simulator.schedule` and its first random draw
+    happens inside the simulation, not at start-up.
+    """
 
     def __init__(
         self,
@@ -65,24 +72,39 @@ class _SenderBase:
         self.rng = rng if rng is not None else fallback_stream("apps.workloads.sender")
         self.payload_factory = payload_factory or random_payload
         self.packets_offered = 0
-        self.process: Optional[Process] = None
 
-    def start(self) -> Process:
-        self.process = spawn(self.sim, self._run(), name=f"sender{self.node_id}")
-        return self.process
+    def start(self) -> None:
+        self.sim.schedule(0.0, self._begin)
 
-    def _make_packet(self) -> Packet:
-        return Packet(
-            payload=self.payload_factory(self.rng, self.packet_bytes),
-            origin=self.node_id,
-            created_at=self.sim.now,
+    def _offer(self) -> None:
+        self.driver.send(
+            Packet(
+                payload=self.payload_factory(self.rng, self.packet_bytes),
+                origin=self.node_id,
+                created_at=self.sim.now,
+            )
         )
+        self.packets_offered += 1
 
     def _deadline_passed(self) -> bool:
         return self.sim.now >= self.duration
 
-    def _run(self):
+    def _begin(self) -> None:
         raise NotImplementedError
+
+
+def _positive(name: str, value: float) -> float:
+    """``value`` if it is a finite positive number, else ValueError."""
+    if not 0 < value < math.inf:  # also rejects NaN
+        raise ValueError(f"{name} must be positive and finite")
+    return value
+
+
+def _non_negative(name: str, value: float) -> float:
+    """``value`` if it is a finite number >= 0, else ValueError."""
+    if not 0 <= value < math.inf:  # also rejects NaN
+        raise ValueError(f"{name} must be >= 0 and finite")
+    return value
 
 
 class ContinuousStreamSender(_SenderBase):
@@ -99,24 +121,34 @@ class ContinuousStreamSender(_SenderBase):
 
     def __init__(self, *args, stagger: Optional[float] = None, **kwargs):
         super().__init__(*args, **kwargs)
+        if stagger is not None:
+            _non_negative("stagger", stagger)
         self.stagger = stagger
 
-    def _run(self):
+    def _begin(self) -> None:
         radio = self.driver.radio
-        frame_airtime = (8 * radio.max_frame_bytes) / radio.medium.bitrate
-        stagger = self.stagger if self.stagger is not None else 20 * frame_airtime
+        self._frame_airtime = (8 * radio.max_frame_bytes) / radio.medium.bitrate
+        stagger = self.stagger if self.stagger is not None else 20 * self._frame_airtime
         if stagger > 0:
-            yield Timeout(self.rng.uniform(0, stagger))
-        while not self._deadline_passed():
-            self.driver.send(self._make_packet())
-            self.packets_offered += 1
-            while radio.mac.queue_depth > 0:
-                yield Timeout(frame_airtime)
-                if self._deadline_passed():
-                    return
-            # One extra airtime so the final fragment clears the air
-            # before the next packet's introduction is queued.
-            yield Timeout(frame_airtime)
+            self.sim.schedule(self.rng.uniform(0, stagger), self._send_next)
+        else:
+            self._send_next()
+
+    def _send_next(self) -> None:
+        if not self._deadline_passed():
+            self._offer()
+            self._wait_for_drain()
+
+    def _poll(self) -> None:
+        if not self._deadline_passed():
+            self._wait_for_drain()
+
+    def _wait_for_drain(self) -> None:
+        # Poll once per airtime while the MAC holds fragments; once it
+        # is empty, wait one extra airtime so the final fragment clears
+        # the air before the next packet's introduction is queued.
+        busy = self.driver.radio.mac.queue_depth > 0
+        self.sim.schedule(self._frame_airtime, self._poll if busy else self._send_next)
 
 
 class PeriodicSender(_SenderBase):
@@ -128,23 +160,21 @@ class PeriodicSender(_SenderBase):
 
     def __init__(self, *args, interval: float = 1.0, jitter: float = 0.0, **kwargs):
         super().__init__(*args, **kwargs)
-        if not interval > 0:
-            raise ValueError("interval must be positive")
-        if jitter < 0:
-            raise ValueError("jitter must be >= 0")
-        self.interval = interval
-        self.jitter = jitter
+        self.interval = _positive("interval", interval)
+        self.jitter = _non_negative("jitter", jitter)
 
-    def _run(self):
+    def _begin(self) -> None:
         # Desynchronise starts across nodes.
-        yield Timeout(self.rng.uniform(0, self.interval))
-        while not self._deadline_passed():
-            self.driver.send(self._make_packet())
-            self.packets_offered += 1
-            gap = self.interval
-            if self.jitter:
-                gap += self.rng.uniform(0, self.jitter)
-            yield Timeout(gap)
+        self.sim.schedule(self.rng.uniform(0, self.interval), self._tick)
+
+    def _tick(self) -> None:
+        if self._deadline_passed():
+            return
+        self._offer()
+        gap = self.interval
+        if self.jitter:
+            gap += self.rng.uniform(0, self.jitter)
+        self.sim.schedule(gap, self._tick)
 
 
 class PoissonSender(_SenderBase):
@@ -152,17 +182,15 @@ class PoissonSender(_SenderBase):
 
     def __init__(self, *args, rate: float = 1.0, **kwargs):
         super().__init__(*args, **kwargs)
-        if not rate > 0:
-            raise ValueError("rate must be positive")
-        self.rate = rate
+        self.rate = _positive("rate", rate)
 
-    def _run(self):
-        while True:
-            yield Timeout(self.rng.expovariate(self.rate))
-            if self._deadline_passed():
-                return
-            self.driver.send(self._make_packet())
-            self.packets_offered += 1
+    def _begin(self) -> None:
+        self.sim.schedule(self.rng.expovariate(self.rate), self._arrive)
+
+    def _arrive(self) -> None:
+        if not self._deadline_passed():
+            self._offer()
+            self._begin()
 
 
 class BurstySender(_SenderBase):
@@ -185,27 +213,29 @@ class BurstySender(_SenderBase):
         **kwargs,
     ):
         super().__init__(*args, **kwargs)
-        if not (mean_on > 0 and mean_off > 0):
-            raise ValueError("mean_on and mean_off must be positive")
-        if not burst_interval > 0:
-            raise ValueError("burst_interval must be positive")
-        self.mean_on = mean_on
-        self.mean_off = mean_off
-        self.burst_interval = burst_interval
+        self.mean_on = _positive("mean_on", mean_on)
+        self.mean_off = _positive("mean_off", mean_off)
+        self.burst_interval = _positive("burst_interval", burst_interval)
         self.bursts = 0
 
-    def _run(self):
+    def _begin(self) -> None:
         # Start somewhere random inside an OFF period.
-        yield Timeout(self.rng.uniform(0, self.mean_off))
-        while not self._deadline_passed():
-            self.bursts += 1
-            burst_end = min(
-                self.sim.now + self.rng.expovariate(1.0 / self.mean_on),
-                self.duration,
-            )
-            while self.sim.now < burst_end:
-                self.driver.send(self._make_packet())
-                self.packets_offered += 1
-                yield Timeout(self.burst_interval)
+        self.sim.schedule(self.rng.uniform(0, self.mean_off), self._start_burst)
+
+    def _start_burst(self) -> None:
+        if self._deadline_passed():
+            return
+        self.bursts += 1
+        self._burst_end = min(
+            self.sim.now + self.rng.expovariate(1.0 / self.mean_on),
+            self.duration,
+        )
+        self._emit()
+
+    def _emit(self) -> None:
+        if self.sim.now < self._burst_end:
+            self._offer()
+            self.sim.schedule(self.burst_interval, self._emit)
+        else:
             off = self.rng.expovariate(1.0 / self.mean_off)
-            yield Timeout(off)
+            self.sim.schedule(off, self._start_burst)

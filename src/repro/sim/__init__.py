@@ -3,10 +3,6 @@
 Public surface:
 
 * :class:`~repro.sim.engine.Simulator` — the event-queue kernel.
-* :func:`~repro.sim.process.spawn` and the process yield targets
-  (:class:`~repro.sim.process.Timeout`,
-  :class:`~repro.sim.process.Signal`,
-  :class:`~repro.sim.process.WaitSignal`).
 * :class:`~repro.sim.rng.RngRegistry` — named deterministic RNG streams.
 * :class:`~repro.sim.trace.TraceRecorder` — structured event traces.
 * Online statistics in :mod:`repro.sim.monitor`.
@@ -14,16 +10,6 @@ Public surface:
 
 from .engine import EventHandle, SimulationError, Simulator
 from .monitor import Counter, Histogram, RunningStats, TimeWeightedValue
-from .process import (
-    WAIT_TIMED_OUT,
-    Interrupt,
-    Process,
-    ProcessError,
-    Signal,
-    Timeout,
-    WaitSignal,
-    spawn,
-)
 from .rng import RngRegistry, derive_seed
 from .trace import NullRecorder, TraceRecord, TraceRecorder
 
@@ -31,21 +17,13 @@ __all__ = [
     "Counter",
     "EventHandle",
     "Histogram",
-    "Interrupt",
     "NullRecorder",
-    "Process",
-    "ProcessError",
     "RngRegistry",
     "RunningStats",
-    "Signal",
     "SimulationError",
     "Simulator",
     "TimeWeightedValue",
-    "Timeout",
     "TraceRecord",
     "TraceRecorder",
-    "WAIT_TIMED_OUT",
-    "WaitSignal",
     "derive_seed",
-    "spawn",
 ]

@@ -14,8 +14,8 @@ The design intentionally mirrors the structure of well-known kernels
   returns an :class:`EventHandle` that can be cancelled.
 * :meth:`Simulator.run` is the one dispatch loop: it pops and fires
   events inline.  :meth:`Simulator.step` is ``run(max_events=1)``.
-* Generator-based *processes* (see :mod:`repro.sim.process`) layer a
-  coroutine API on top of raw callbacks.
+* Timed actors (traffic senders, churn, mobility) are plain callback
+  chains: each event schedules the actor's next step.
 
 Determinism guarantees
 ----------------------

@@ -126,3 +126,24 @@ class TestActivationSlot:
             with profiling(inner):
                 assert active_profiler() is inner
             assert active_profiler() is outer
+
+
+class TestDispatchAttribution:
+    def test_sender_wakes_book_to_apps(self):
+        """Every event is booked to the layer of the module that handles
+        it. Traffic senders are callback chains defined in ``repro.apps``,
+        so their wakes are ``apps.dispatch``; no Figure-4 event is handled
+        by kernel code, so nothing books ``engine.dispatch``."""
+        from repro.experiments.harness import CollisionTrialConfig, run_collision_trial
+
+        profiler = SpanProfiler()
+        with profiling(profiler):
+            run_collision_trial(CollisionTrialConfig(duration=5.0, seed=3))
+        dispatches = {
+            name: stats["count"]
+            for name, stats in profiler.to_json().items()
+            if name.endswith(".dispatch")
+        }
+        assert "engine.dispatch" not in dispatches
+        assert dispatches["apps.dispatch"] == 4592
+        assert sum(dispatches.values()) == 7472
