@@ -21,6 +21,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set
 
+from .core import walk
 from .symbols import ProjectContext
 
 __all__ = ["CallGraph", "build_callgraph"]
@@ -76,12 +77,22 @@ class CallGraph:
 
 
 def build_callgraph(project: ProjectContext) -> CallGraph:
-    """Resolve every call site in every known function into edges."""
+    """Resolve every call site in every known function into edges.
+
+    Built once per project and kept on it: every later call returns the
+    same graph, so callers must not mutate it.
+    """
+    if project.callgraph is None:
+        project.callgraph = _resolve_edges(project)
+    return project.callgraph
+
+
+def _resolve_edges(project: ProjectContext) -> CallGraph:
     graph = CallGraph()
     for info in project.functions():
         module = project.modules[info.module]
         callees: Set[str] = set()
-        for node in ast.walk(info.node):
+        for node in walk(info.node):
             if isinstance(node, ast.Call):
                 ref = project.resolve_call(module, node.func)
                 if ref is not None and ref != info.ref:

@@ -24,6 +24,10 @@ through the same suppression comments and baseline fingerprints as
 per-module ones — a fingerprint binds to the flagged *line's content*,
 not its number, so cross-module findings survive line drift in either
 file.
+
+Rules walk the syntax tree through :func:`walk`, which keeps each
+scope's node order on the scope node itself: every rule shares one
+walk per scope, and the cache is freed with the tree.
 """
 
 from __future__ import annotations
@@ -33,17 +37,23 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
+    AbstractSet,
+    Callable,
     Dict,
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Type,
+    TypeVar,
 )
 
 from .constfold import collect_module_constants
@@ -59,12 +69,15 @@ __all__ = [
     "ModuleContext",
     "ProjectRule",
     "Rule",
+    "SCOPE_NODES",
     "all_project_rules",
     "all_rules",
+    "cached_walk",
     "project_registry",
     "register",
     "register_project",
     "registry",
+    "walk",
 ]
 
 _SUPPRESS_RE = re.compile(r"#\s*lint:\s*ignore(?:\[(?P<rules>[A-Z0-9,\s]+)\])?")
@@ -73,6 +86,38 @@ _SUPPRESS_RE = re.compile(r"#\s*lint:\s*ignore(?:\[(?P<rules>[A-Z0-9,\s]+)\])?")
 _SKIP_DIRS = frozenset(
     {"__pycache__", ".git", ".mypy_cache", ".pytest_cache", "build", "dist"}
 )
+
+#: Node types whose walks are memoised on the node: the scope roots
+#: rules iterate over again and again.
+SCOPE_NODES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+NodeT = TypeVar("NodeT", bound=ast.AST)
+
+
+def cached_walk(
+    node: ast.AST, attr: str, build: Callable[[ast.AST], Iterable[NodeT]]
+) -> Iterable[NodeT]:
+    """``build(node)``, kept as a tuple in ``node.<attr>`` for scope nodes.
+
+    The cache lives on the tree, so it dies with it.  It is only valid
+    while the tree is unchanged: rules must never mutate the AST.
+    """
+    if not isinstance(node, SCOPE_NODES):
+        return build(node)
+    cached: Optional[Tuple[NodeT, ...]] = getattr(node, attr, None)
+    if cached is None:
+        cached = tuple(build(node))
+        setattr(node, attr, cached)
+    return cached
+
+
+def walk(node: ast.AST) -> Iterable[ast.AST]:
+    """Every node under ``node``, in ``ast.walk``'s breadth-first order.
+
+    Memoised on :data:`SCOPE_NODES` (see :func:`cached_walk`); any
+    other node is walked afresh.
+    """
+    return cached_walk(node, "_walk", ast.walk)
 
 
 @dataclass(frozen=True)
@@ -119,6 +164,35 @@ class ModuleContext:
         #: Constant-folded module-level integer constants (``NAME = 16``,
         #: ``MAX = (1 << BITS) - 1``, ...), for width cross-checking.
         self.constants: Dict[str, int] = collect_module_constants(tree)
+
+    @cached_property
+    def _import_aliases(self) -> Dict[str, Set[str]]:
+        aliases: Dict[str, Set[str]] = {}
+        for node in walk(self.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    aliases.setdefault(alias.name, set()).add(
+                        alias.asname or alias.name
+                    )
+        return aliases
+
+    @cached_property
+    def _from_import_names(self) -> Dict[str, Dict[str, str]]:
+        names: Dict[str, Dict[str, str]] = {}
+        for node in walk(self.tree):
+            if isinstance(node, ast.ImportFrom) and node.module is not None:
+                imported = names.setdefault(node.module, {})
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = alias.name
+        return names
+
+    def module_aliases(self, module: str) -> AbstractSet[str]:
+        """Names (anywhere in the file) bound to ``module`` by ``import``."""
+        return self._import_aliases.get(module, frozenset())
+
+    def from_imports(self, module: str) -> Mapping[str, str]:
+        """Local name -> original name for ``from <module> import ...``."""
+        return self._from_import_names.get(module, {})
 
     def source_line(self, lineno: int) -> str:
         if 1 <= lineno <= len(self.lines):
@@ -399,6 +473,21 @@ class Linter:
         report.findings.extend(collected)
 
     def _expand(self, paths: Sequence[Path]) -> Iterator[Path]:
+        """Every ``.py`` file under ``paths``, each once, in first-seen order.
+
+        Overlapping arguments (``DIR DIR/pkg/m.py``) name one file
+        twice; linting it twice would double its findings and spend a
+        baseline entry on the copy.
+        """
+        seen: Set[Path] = set()
+        for path in self._python_files(paths):
+            resolved = path.resolve()
+            if resolved not in seen:
+                seen.add(resolved)
+                yield path
+
+    @staticmethod
+    def _python_files(paths: Sequence[Path]) -> Iterator[Path]:
         for path in paths:
             if path.is_dir():
                 for candidate in sorted(path.rglob("*.py")):

@@ -33,6 +33,7 @@ from __future__ import annotations
 import ast
 from typing import Callable, Iterable, Iterator, Optional, Set, Tuple, Union
 
+from .core import cached_walk, walk
 from .symbols import ModuleSymbols
 
 __all__ = [
@@ -57,12 +58,17 @@ _MAX_PASSES = 25
 _DICT_KEY_DEPTH = 6
 
 
-def scope_walk(root: ast.AST) -> Iterator[ast.AST]:
+def scope_walk(root: ast.AST) -> Iterable[ast.AST]:
     """Every node owned by ``root``'s scope.
 
-    Yields nested ``def``/``class``/``lambda`` statements themselves
+    Includes nested ``def``/``class``/``lambda`` statements themselves
     (so callers can recurse into them) but never their bodies.
+    Memoised on scope roots like :func:`~repro.analysis.core.walk`.
     """
+    return cached_walk(root, "_scope_walk", _scope_nodes)
+
+
+def _scope_nodes(root: ast.AST) -> Iterator[ast.AST]:
     stack = [root]
     while stack:
         node = stack.pop()
@@ -144,7 +150,7 @@ class TaintTracker:
     # ------------------------------------------------------------------
     def expr_tainted(self, expr: ast.AST) -> bool:
         """Does ``expr`` (or any sub-expression) carry taint?"""
-        for node in ast.walk(expr):
+        for node in walk(expr):
             if isinstance(node, ast.Name) and node.id in self.tainted:
                 return True
             if self._is_source(node):
@@ -183,7 +189,7 @@ class TaintTracker:
     def _taint_targets(self, targets: Iterable[ast.expr]) -> bool:
         changed = False
         for target in targets:
-            for node in ast.walk(target):
+            for node in walk(target):
                 if isinstance(node, ast.Name) and node.id not in self.tainted:
                     self.tainted.add(node.id)
                     changed = True

@@ -35,9 +35,9 @@ modules get no waiver.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Iterator, List, Tuple
 
-from .core import Finding, ModuleContext, Rule, register
+from .core import Finding, ModuleContext, Rule, register, walk
 
 __all__ = [
     "InlineRandomImportRule",
@@ -81,27 +81,6 @@ _GLOBAL_RANDOM_FUNCS = frozenset(
 )
 
 
-def _module_aliases(tree: ast.Module, module: str) -> Set[str]:
-    """Names (anywhere in the file) bound to ``module`` by ``import``."""
-    aliases: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == module:
-                    aliases.add(alias.asname or module)
-    return aliases
-
-
-def _from_imports(tree: ast.Module, module: str) -> Dict[str, str]:
-    """Local name -> original name for ``from <module> import ...``."""
-    names: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == module:
-            for alias in node.names:
-                names[alias.asname or alias.name] = alias.name
-    return names
-
-
 @register
 class UnseededRandomRule(Rule):
     rule_id = "DET001"
@@ -112,9 +91,9 @@ class UnseededRandomRule(Rule):
     help_anchor = "pack-1--determinism-det"
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        aliases = _module_aliases(ctx.tree, "random")
-        imported = _from_imports(ctx.tree, "random")
-        for node in ast.walk(ctx.tree):
+        aliases = ctx.module_aliases("random")
+        imported = ctx.from_imports("random")
+        for node in walk(ctx.tree):
             if not isinstance(node, ast.Call) or node.args or node.keywords:
                 continue
             func = node.func
@@ -146,9 +125,9 @@ class ModuleRandomCallRule(Rule):
     help_anchor = "pack-1--determinism-det"
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        aliases = _module_aliases(ctx.tree, "random")
-        imported = _from_imports(ctx.tree, "random")
-        for node in ast.walk(ctx.tree):
+        aliases = ctx.module_aliases("random")
+        imported = ctx.from_imports("random")
+        for node in walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -182,10 +161,10 @@ class InlineRandomImportRule(Rule):
     help_anchor = "pack-1--determinism-det"
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for outer in ast.walk(ctx.tree):
+        for outer in walk(ctx.tree):
             if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            for node in ast.walk(outer):
+            for node in walk(outer):
                 is_inline_import = (
                     isinstance(node, ast.Import)
                     and any(alias.name == "random" for alias in node.names)
@@ -215,15 +194,15 @@ class WallClockRule(Rule):
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         if not ctx.in_packages(SIM_PACKAGES):
             return
-        time_aliases = _module_aliases(ctx.tree, "time")
-        time_imported = _from_imports(ctx.tree, "time")
-        dt_module_aliases = _module_aliases(ctx.tree, "datetime")
+        time_aliases = ctx.module_aliases("time")
+        time_imported = ctx.from_imports("time")
+        dt_module_aliases = ctx.module_aliases("datetime")
         dt_class_names = {
             local
-            for local, orig in _from_imports(ctx.tree, "datetime").items()
+            for local, orig in ctx.from_imports("datetime").items()
             if orig in ("datetime", "date")
         }
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -273,7 +252,7 @@ class SetIterationRule(Rule):
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         if not ctx.in_packages(ORDER_SENSITIVE_PACKAGES):
             return
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             iters: List[Tuple[ast.AST, ast.expr]] = []
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 iters.append((node, node.iter))
@@ -323,7 +302,7 @@ class ProcessSpawnRule(Rule):
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         if ctx.in_packages({"exec"}) and ctx.path.name in self.ALLOWED_MODULES:
             return
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     name = alias.name
@@ -356,10 +335,10 @@ class ProcessSpawnRule(Rule):
                         "ProcessPoolExecutor import: spawn workers via "
                         "repro.exec.TrialRunner instead",
                     )
-        os_aliases = _module_aliases(ctx.tree, "os")
-        os_imported = _from_imports(ctx.tree, "os")
-        futures_aliases = _module_aliases(ctx.tree, "concurrent.futures")
-        for node in ast.walk(ctx.tree):
+        os_aliases = ctx.module_aliases("os")
+        os_imported = ctx.from_imports("os")
+        futures_aliases = ctx.module_aliases("concurrent.futures")
+        for node in walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func

@@ -36,7 +36,7 @@ import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .callgraph import build_callgraph
-from .core import Finding, ProjectRule, register_project
+from .core import Finding, ProjectRule, register_project, walk
 from .dataflow import (
     ambient_reads,
     call_name,
@@ -113,7 +113,7 @@ def trial_spec_sites(project: ProjectContext) -> List[TrialSite]:
     sites: List[TrialSite] = []
     for name in sorted(project.modules):
         module = project.modules[name]
-        for node in ast.walk(module.ctx.tree):
+        for node in walk(module.ctx.tree):
             if not isinstance(node, ast.Call) or call_name(node) != "TrialSpec":
                 continue
             fn_expr = positional_or_keyword(node, 0, "fn")

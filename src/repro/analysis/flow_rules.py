@@ -25,10 +25,10 @@ Flagged: module-level draws (``random.random()``, ``random.choice``,
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import AbstractSet, Iterator, Mapping
 
-from .core import Finding, ModuleContext, Rule, register
-from .determinism import _GLOBAL_RANDOM_FUNCS, _from_imports, _module_aliases
+from .core import Finding, ModuleContext, Rule, register, walk
+from .determinism import _GLOBAL_RANDOM_FUNCS
 
 __all__ = ["FlowSamplingRngRule"]
 
@@ -63,9 +63,9 @@ class FlowSamplingRngRule(Rule):
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         if not ctx.in_packages({"flow"}):
             return
-        aliases = _module_aliases(ctx.tree, "random")
-        imported = _from_imports(ctx.tree, "random")
-        for node in ast.walk(ctx.tree):
+        aliases = ctx.module_aliases("random")
+        imported = ctx.from_imports("random")
+        for node in walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             finding = self._check_call(ctx, node, aliases, imported)
@@ -76,8 +76,8 @@ class FlowSamplingRngRule(Rule):
         self,
         ctx: ModuleContext,
         node: ast.Call,
-        aliases: "set[str]",
-        imported: "dict[str, str]",
+        aliases: AbstractSet[str],
+        imported: Mapping[str, str],
     ) -> Finding | None:
         func = node.func
         target: str | None = None

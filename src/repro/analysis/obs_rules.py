@@ -43,7 +43,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional, Set
 
-from .core import Finding, ModuleContext, Rule, register
+from .core import Finding, ModuleContext, Rule, register, walk
 
 __all__ = ["MetricNameLiteralRule", "TraceCategoryLiteralRule"]
 
@@ -88,7 +88,7 @@ class TraceCategoryLiteralRule(Rule):
     help_anchor = "pack-7--observability-obs"
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             arg = _category_arg(node)
@@ -199,7 +199,7 @@ class MetricNameLiteralRule(Rule):
         if ctx.path.name == "metrics.py" and "obs" in ctx.path.parts:
             return
         tuple_constants: Optional[Set[str]] = None
-        for node in ast.walk(ctx.tree):
+        for node in walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             primitive = _metric_call(node)

@@ -37,7 +37,7 @@ import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .constfold import fold_int
-from .core import Finding, ProjectRule, register_project
+from .core import Finding, ProjectRule, register_project, walk
 from .ranges import (
     _MAX_SHIFT,
     Env,
@@ -218,7 +218,7 @@ def _param_set(info: FunctionInfo) -> Set[str]:
 def _single_assign(node: FunctionNode, name: str) -> Optional[ast.expr]:
     """The sole ``name = <expr>`` value in ``node``, if unique."""
     found: List[ast.expr] = []
-    for stmt in ast.walk(node):
+    for stmt in walk(node):
         if (
             isinstance(stmt, ast.Assign)
             and len(stmt.targets) == 1
@@ -256,7 +256,7 @@ def _is_plan_length(expr: ast.expr, info: FunctionInfo, params: Set[str]) -> boo
 
 def _var_free(node: ast.expr, var: str) -> bool:
     return not any(
-        isinstance(sub, ast.Name) and sub.id == var for sub in ast.walk(node)
+        isinstance(sub, ast.Name) and sub.id == var for sub in walk(node)
     )
 
 
@@ -306,10 +306,10 @@ def _enclosing_loop_var(node: FunctionNode, stmt: ast.stmt) -> Optional[str]:
     an appended ``var + 1`` frontier monotone across appends.
     """
     result: Optional[str] = None
-    for loop in ast.walk(node):
+    for loop in walk(node):
         if not isinstance(loop, ast.For):
             continue
-        if not any(sub is stmt for sub in ast.walk(loop)):
+        if not any(sub is stmt for sub in walk(loop)):
             continue
         if not (
             isinstance(loop.iter, ast.Call)
@@ -383,7 +383,7 @@ class PartitionInvariantRule(ProjectRule):
         engine = engine_for(project)
         for info in project.functions():
             module = project.modules[info.module]
-            for node in ast.walk(info.node):
+            for node in walk(info.node):
                 if not isinstance(node, ast.ListComp):
                     continue
                 bounds = _match_partition_comp(node)
@@ -423,7 +423,7 @@ class PartitionInvariantRule(ProjectRule):
         """
         params = _param_set(info)
         events: List[_BoundsEvent] = []
-        for stmt in ast.walk(info.node):
+        for stmt in walk(info.node):
             if (
                 isinstance(stmt, ast.Assign)
                 and len(stmt.targets) == 1
@@ -576,7 +576,7 @@ class DrawHazardRule(ProjectRule):
                 continue
             analysis = engine.analysis_for(info)
             path = module.ctx.display_path
-            for node in ast.walk(info.node):
+            for node in walk(info.node):
                 if isinstance(node, ast.BinOp):
                     yield from self._check_binop(project, path, analysis, node)
                 elif isinstance(node, ast.Call):

@@ -68,6 +68,7 @@ from weakref import WeakKeyDictionary
 
 from .callgraph import build_callgraph
 from .constfold import fold_int
+from .core import walk
 from .symbols import FunctionInfo, ProjectContext
 
 __all__ = [
@@ -492,7 +493,7 @@ def _kill_derived(env: Env, root: str) -> Env:
 def _assigned_names(stmts: Iterable[ast.stmt]) -> Set[str]:
     names: Set[str] = set()
     for stmt in stmts:
-        for node in ast.walk(stmt):
+        for node in walk(stmt):
             if isinstance(node, ast.Name) and isinstance(
                 node.ctx, (ast.Store, ast.Del)
             ):
@@ -831,7 +832,7 @@ class _Interpreter:
         may mutate that object.  Simple name bindings are unaffected —
         Python rebinds names only through assignment.
         """
-        for call in ast.walk(node):
+        for call in walk(node):
             if not isinstance(call, ast.Call):
                 continue
             roots: Set[str] = set()

@@ -23,9 +23,9 @@ genuine false positive.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
-from .core import Finding, ModuleContext, Rule, register
+from .core import Finding, ModuleContext, Rule, cached_walk, register, walk
 
 __all__ = ["DuplicateStreamNameRule", "UnstableStreamNameRule"]
 
@@ -34,13 +34,22 @@ _UNSTABLE_CALLS = frozenset({"id", "hash", "repr"})
 
 def _scopes(tree: ast.Module) -> Iterator[ast.AST]:
     yield tree
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
 
 
-def _calls_in_scope(scope: ast.AST) -> Iterator[ast.Call]:
-    """Calls belonging to ``scope``, not to a function nested inside it."""
+def _calls_in_scope(scope: ast.AST) -> Iterable[ast.Call]:
+    """Calls belonging to ``scope``, not to a function nested inside it.
+
+    Memoised on scope nodes, so RNG001 and RNG002 share one pass.
+    Unlike :func:`~repro.analysis.dataflow.scope_walk`, it does descend
+    into nested lambdas and classes.
+    """
+    return cached_walk(scope, "_rng_calls", _scope_calls)
+
+
+def _scope_calls(scope: ast.AST) -> Iterator[ast.Call]:
     stack: List[ast.AST] = [scope]
     while stack:
         node = stack.pop()
@@ -129,7 +138,7 @@ class UnstableStreamNameRule(Rule):
                 return f"{arg.func.id}()"
         if not isinstance(arg, ast.JoinedStr):
             return None
-        for node in ast.walk(arg):
+        for node in walk(arg):
             if isinstance(node, ast.FormattedValue) and node.conversion == ord("r"):
                 return "a !r conversion"
             if (

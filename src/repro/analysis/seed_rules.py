@@ -32,7 +32,7 @@ import ast
 import re
 from typing import Iterator, List, Optional, Set, Tuple, Union
 
-from .core import Finding, ProjectRule, register_project
+from .core import Finding, ProjectRule, register_project, walk
 from .dataflow import (
     TaintTracker,
     call_name,
@@ -222,7 +222,7 @@ class CacheKeyCompletenessRule(ProjectRule):
         seed_names: Set[str] = set()
         if seed_expr is not None:
             seed_names = {
-                node.id for node in ast.walk(seed_expr) if isinstance(node, ast.Name)
+                node.id for node in walk(seed_expr) if isinstance(node, ast.Name)
             }
         fn_expr = positional_or_keyword(spec, 0, "fn")
         fn_label = ast.unparse(fn_expr) if fn_expr is not None else "trial"

@@ -25,9 +25,12 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
 
-from .core import ModuleContext
+from .core import ModuleContext, walk
+
+if TYPE_CHECKING:
+    from .callgraph import CallGraph
 
 __all__ = [
     "FunctionInfo",
@@ -155,7 +158,7 @@ def collect_symbols(ctx: ModuleContext, name: Optional[str] = None) -> ModuleSym
             if isinstance(stmt.target, ast.Name) and stmt.value is not None:
                 symbols.module_assigns[stmt.target.id] = stmt.value
 
-    for node in ast.walk(ctx.tree):
+    for node in walk(ctx.tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 symbols.import_aliases[alias.asname or alias.name] = alias.name
@@ -189,6 +192,8 @@ class ProjectContext:
         for module in self.modules.values():
             for info in module.functions.values():
                 self._functions[info.ref] = info
+        #: Set by :func:`~repro.analysis.callgraph.build_callgraph`.
+        self.callgraph: Optional[CallGraph] = None
 
     # ------------------------------------------------------------------
     def functions(self) -> Iterator[FunctionInfo]:

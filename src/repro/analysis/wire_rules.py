@@ -36,7 +36,7 @@ import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .constfold import fold_int
-from .core import Finding, ModuleContext, Rule, register
+from .core import Finding, ModuleContext, Rule, register, walk
 from .ranges import FunctionAnalysis, analyze_function
 
 __all__ = [
@@ -61,7 +61,7 @@ RPC_FRAME_BUDGET_BITS = 8 * RPC_MAX_FRAME_BYTES
 def _functions(tree: ast.Module) -> Iterator[ast.AST]:
     """Module plus every (async) function definition."""
     yield tree
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
 
@@ -69,7 +69,7 @@ def _functions(tree: ast.Module) -> Iterator[ast.AST]:
 def _bitwriter_names(scope: ast.AST) -> Set[str]:
     """Names assigned from a ``BitWriter(...)`` call within ``scope``."""
     names: Set[str] = set()
-    for node in ast.walk(scope):
+    for node in walk(scope):
         if not isinstance(node, ast.Assign) or len(node.targets) != 1:
             continue
         target = node.targets[0]
@@ -93,7 +93,7 @@ def _write_calls(
     scope: ast.AST, writers: Set[str]
 ) -> Iterator[Tuple[ast.Call, str]]:
     """``(call, method)`` for ``<writer>.write(...)`` / ``.write_bytes(...)``."""
-    for node in ast.walk(scope):
+    for node in walk(scope):
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)

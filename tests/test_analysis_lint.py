@@ -664,6 +664,29 @@ class TestCli:
         for rule_id in ("DET001", "DET005", "WIRE001", "WIRE003", "RNG001", "RNG002"):
             assert rule_id in out
 
+    def test_overlapping_paths_lint_each_file_once(self, tmp_path, capsys):
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        (pkg / "m.py").write_text(
+            "import random\nx = random.random()\n", encoding="utf-8"
+        )
+        (tmp_path / "ok.py").write_text("x = 1\n", encoding="utf-8")
+        paths = [pkg / "m.py", tmp_path, pkg / ".." / "pkg" / "m.py"]
+        assert [p.name for p in Linter()._expand(paths)] == ["m.py", "ok.py"]
+
+        assert lint_main([str(tmp_path), str(pkg / "m.py"), "--no-baseline"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.count("DET002") == 1
+        assert "2 file(s) checked, 1 finding(s)" in captured.err
+
+    def test_overlapping_paths_do_not_spend_a_baseline_entry(self, tmp_path):
+        target = tmp_path / "m.py"
+        target.write_text("import random\nx = random.random()\n", encoding="utf-8")
+        baseline = Baseline.from_findings(Linter().lint_paths([tmp_path]).findings)
+        report = Linter(baseline=baseline).lint_paths([tmp_path, target])
+        assert report.files_checked == 1
+        assert report.findings == []
+
     def test_parse_error_reported_not_crashed(self, tmp_path, capsys):
         (tmp_path / "broken.py").write_text("def (:\n", encoding="utf-8")
         assert lint_main([str(tmp_path), "--no-baseline"]) == 1

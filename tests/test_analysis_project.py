@@ -23,7 +23,9 @@ from repro.analysis import (
     build_project,
 )
 from repro.analysis.cli import main as lint_main
-from repro.analysis.core import ModuleContext
+from repro.analysis.core import SCOPE_NODES, ModuleContext, walk
+from repro.analysis.dataflow import scope_walk
+from repro.analysis.rngstreams import _calls_in_scope
 
 SRC_ROOT = Path(repro.__file__).resolve().parent.parent
 
@@ -571,6 +573,97 @@ class TestProjectCli:
             lint_main([str(tmp_path), "--no-baseline", "--project",
                        "--select", "SEED001"]) == 1
         )
+
+
+# ----------------------------------------------------------------------
+# Cached walks: the same nodes, in the same order, as the uncached ones
+# ----------------------------------------------------------------------
+def _uncached_scope_walk(root):
+    """``scope_walk`` as it was before it was memoised."""
+    nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            yield child
+            if not isinstance(child, nested):
+                stack.append(child)
+
+
+@pytest.fixture(scope="module")
+def src_trees():
+    """A fresh parse of every module of ``src/``, by path."""
+    return {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((SRC_ROOT / "repro").rglob("*.py"))
+    }
+
+
+def _scopes(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, SCOPE_NODES)]
+
+
+class TestCachedWalks:
+    def test_walk_matches_ast_walk_on_every_scope(self, src_trees):
+        for path, tree in src_trees.items():
+            for scope in _scopes(tree):
+                expected = list(ast.walk(scope))
+                assert list(walk(scope)) == expected, (path, scope.lineno)
+                assert list(walk(scope)) == expected, (path, scope.lineno)
+
+    def test_scope_walk_matches_uncached_order(self, src_trees):
+        for path, tree in src_trees.items():
+            for scope in _scopes(tree):
+                expected = list(_uncached_scope_walk(scope))
+                assert list(scope_walk(scope)) == expected, (path, scope.lineno)
+                assert list(scope_walk(scope)) == expected, (path, scope.lineno)
+
+    def test_rng_scope_calls_match_uncached_order(self, src_trees):
+        """RNG001/RNG002's calls-per-scope, which also enters lambdas/classes."""
+        functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+        for path, tree in src_trees.items():
+            for scope in _scopes(tree):
+                expected = []
+                stack = [scope]
+                while stack:
+                    node = stack.pop()
+                    for child in ast.iter_child_nodes(node):
+                        if isinstance(child, functions):
+                            continue
+                        if isinstance(child, ast.Call):
+                            expected.append(child)
+                        stack.append(child)
+                assert list(_calls_in_scope(scope)) == expected, (path, scope.lineno)
+
+    def test_cached_walks_are_immutable_and_shared(self, src_trees):
+        tree = next(iter(src_trees.values()))
+        for scope in _scopes(tree):
+            for walker in (walk, scope_walk):
+                cached = walker(scope)
+                assert isinstance(cached, tuple)
+                assert walker(scope) is cached
+
+    def test_non_scope_nodes_are_walked_afresh(self):
+        expr = ast.parse("f(a + b)").body[0]
+        assert not isinstance(walk(expr), tuple)
+        assert [type(n).__name__ for n in walk(expr)][:3] == ["Expr", "Call", "Name"]
+
+    def test_callgraph_is_built_once_per_project(self, tmp_path):
+        project = project_for(
+            tmp_path, {"mod.py": "def a():\n    return b()\ndef b():\n    return 1\n"}
+        )
+        graph = build_callgraph(project)
+        assert graph is build_callgraph(project)
+        assert graph.callees("mod.a") == {"mod.b"}
+
+    def test_only_the_walk_module_calls_ast_walk(self):
+        analysis = SRC_ROOT / "repro" / "analysis"
+        callers = sorted(
+            path.relative_to(analysis).as_posix()
+            for path in analysis.rglob("*.py")
+            if "ast.walk" in path.read_text(encoding="utf-8")
+        )
+        assert callers == ["core.py"]
 
 
 # ----------------------------------------------------------------------
