@@ -71,6 +71,17 @@ def _merged_spans(
     return spans or None
 
 
+def _positive_int(text: str) -> int:
+    """Argparse type: an integer >= 1 (a usage error, exit 2, otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     from contextlib import nullcontext
 
@@ -281,10 +292,10 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
                      "layer breakdown)")
     run.add_argument("--profile", action="store_true",
                      help="profile per-layer wall time (observational only)")
-    run.add_argument("--flow-workers", type=int, default=1, metavar="N",
+    run.add_argument("--flow-workers", type=_positive_int, default=1, metavar="N",
                      help="TrialRunner workers for sharded window "
                      "execution (results bit-identical at any count)")
-    run.add_argument("--flow-shards", type=int, default=None, metavar="N",
+    run.add_argument("--flow-shards", type=_positive_int, default=None, metavar="N",
                      help="window ranges to partition the plan into "
                      "(default: one per worker)")
     run.add_argument("--partition", choices=PARTITION_STRATEGIES,

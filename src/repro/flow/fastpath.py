@@ -5,28 +5,37 @@ window — the chunked-Knuth Poisson count and the per-transaction
 Bernoulli collision draws (:mod:`repro.flow.sampler`).  Both consume
 doubles from a ``random.Random`` (CPython's Mersenne Twister), whose
 ``random()`` is byte-for-byte the same ``genrand_res53`` recurrence
-NumPy's legacy ``RandomState.random_sample`` implements.  That makes
-the loops vectorisable *exactly*: transplant the stream's MT19937
-state into a ``RandomState``, draw the same uniform sequence in
-blocks, and write the advanced state back — every count, every
-comparison, and the stream's final state come out identical to the
-scalar loop, so fast and pure runs (and therefore serial and sharded
-runs at any worker count) agree bit for bit.
+NumPy's ``Generator(MT19937).random`` implements.  That makes the loops
+vectorisable *exactly*: seat the stream's MT19937 state in a NumPy
+generator, read the window's uniforms once, in stream order, and hand
+the advanced state back — every count, every comparison, and the
+stream's final state come out identical to the scalar loop, so fast and
+pure runs (and therefore serial and sharded runs at any worker count)
+agree bit for bit.
+
+The uniforms pass through one tape of at most :data:`_BLOCK` doubles.
+The Poisson phase walks it one Knuth chunk at a time, probing a little
+past each chunk's expected stop; the Bernoulli phase counts ``u < p``
+over what it read past the last stop, then over fresh blocks until it
+has seen exactly ``n`` draws.
 
 Exactness rests on three facts, each pinned by
 ``tests/test_flow_fastpath.py``:
 
-* ``RandomState.random_sample`` and ``random.Random.random`` produce
+* ``Generator(MT19937).random`` and ``random.Random.random`` produce
   the same doubles from the same MT19937 state (both are two 32-bit
   words folded to 53 bits);
-* ``numpy.cumprod`` over a float64 vector performs the same sequential
-  rounding as the scalar ``product *= u`` loop, so the Knuth
-  termination index is the same draw the scalar loop stops on (each
-  chunk's product starts fresh at its first uniform — there is no
-  carried partial product whose rounding could differ);
-* the final state is reconstructed by advancing a pristine copy of the
-  initial state by exactly the number of *consumed* draws, discarding
-  the lookahead overdraw the block probing needed.
+* ``numpy.multiply.accumulate`` (``cumprod``) over a float64 vector
+  performs the same sequential rounding as the scalar
+  ``product *= u`` loop, so the Knuth termination index is the same
+  draw the scalar loop stops on (each chunk's product starts fresh at
+  its first uniform — there is no carried partial product whose
+  rounding could differ);
+* the stream's end state is the generator's state after the window's
+  last draw: read straight off the generator, or, when the tape read
+  past that draw (small ``n``, ``n == 0``, an error after the Poisson
+  phase), rebuilt by advancing the initial state by exactly the draws
+  the scalar loop made.
 
 The fast path steps aside — returning ``None`` so callers fall back to
 the scalar loop — when NumPy is unavailable, when a DetSan sanitizer is
@@ -64,17 +73,29 @@ HAVE_NUMPY = _np is not None
 #: ``random.Random.getstate()`` tuple version this module understands.
 _MT_VERSION = 3
 
-#: Minimum uniforms drawn per lookahead refill (amortises call overhead).
-_BLOCK = 8192
+#: Doubles per tape refill and per Bernoulli block: 512 KiB, small
+#: enough to stay in cache while the window's comparisons read it.
+_BLOCK = 1 << 16
 
-#: Cap on one Bernoulli block (bounds peak memory at ~8 MiB of doubles).
-_BERNOULLI_BLOCK = 1 << 20
-
-#: Below this expected draw count the scalar loop beats the transplant
-#: overhead (state rebuild + write-back are ~100 µs per window); the
-#: scalar and fast paths are bit-identical, so the cut-over is purely a
-#: performance decision.
+#: Below this expected draw count the scalar loop beats the fixed cost
+#: of seating the stream in the generator and reading it back: 170-220
+#: µs per window on a 2-vCPU host, where the two paths break even at a
+#: mean between 1024 and 2048 and the fast path is ~1.5x faster at 4096.
+#: The paths are bit-identical, so the cut-over is only about speed.
 _MIN_FAST_MEAN = 4096.0
+
+
+def _probe(mean: float) -> int:
+    """Lookahead for one Knuth chunk: three sigma past its mean.
+
+    About one chunk in 10^4 reads further and doubles its probe.
+    """
+    return int(mean + 3.0 * math.sqrt(mean)) + 16
+
+
+#: Stop limit and probe of every full chunk (all but a window's last).
+_CHUNK_LIMIT = math.exp(-_POISSON_CHUNK)
+_CHUNK_PROBE = _probe(_POISSON_CHUNK)
 
 _forced_pure = False
 
@@ -108,101 +129,40 @@ def _eligible(rng: random.Random) -> bool:
     )
 
 
-#: Reused ``RandomState`` instances (``set_state`` overwrites them
-#: fully, and flow sampling is single-threaded per process), avoiding a
-#: per-window construction that would read OS entropy just to be
-#: discarded.
-_tape_state: Any = None
-_advance_state: Any = None
+#: The one generator every window is seated in (seating overwrites its
+#: whole state, and flow sampling is single-threaded per process).
+#: Built on first use, from a fixed seed, so no OS entropy is read.
+_source: Any = None
+#: The memory every tape views, so no window allocates and faults in its own.
+_buffer: Any = None if _np is None else _np.empty(_BLOCK)
 
 
-def _rebuild(rs: Any, state: Tuple[Any, ...]) -> Any:
-    """Position a ``RandomState`` at the ``random.Random`` state tuple."""
-    keys = state[1]
-    if rs is None:
-        rs = _np.random.RandomState(0)
-    rs.set_state(("MT19937", _np.asarray(keys[:-1], dtype=_np.uint32), keys[-1]))
-    return rs
+def _seat(keys: Tuple[int, ...]) -> Any:
+    """The shared generator, positioned at a ``random.Random`` state's words."""
+    global _source
+    if _source is None:
+        _source = _np.random.Generator(_np.random.MT19937(0))
+    _source.bit_generator.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": _np.asarray(keys[:-1], dtype=_np.uint32), "pos": keys[-1]},
+    }
+    return _source
 
 
-def _writeback(rng: random.Random, state: Tuple[Any, ...], consumed: int) -> None:
-    """Advance ``rng`` past exactly ``consumed`` draws from ``state``."""
-    global _advance_state
-    _advance_state = rs = _rebuild(_advance_state, state)
-    if consumed:
-        rs.random_sample(consumed)
-    _kind, keys, pos, _has_gauss, _gauss = rs.get_state(legacy=True)
-    rng.setstate((_MT_VERSION, tuple(keys.tolist()) + (int(pos),), state[2]))
-
-
-class _UniformTape:
-    """The stream's uniform sequence, drawn in blocks with lookahead.
-
-    ``random_sample(n)`` consumes the underlying state draw by draw, so
-    the concatenation of refills is exactly the scalar draw sequence
-    regardless of block sizes.  ``consumed`` counts only the draws the
-    sampler committed to; lookahead beyond it is discarded by
-    :func:`_writeback`.
-    """
-
-    def __init__(self, state: Any) -> None:
-        self._state = state
-        self._buf: Any = _np.empty(0, dtype=_np.float64)
-        self._pos = 0
-        self.consumed = 0
-
-    def reserve(self, n: int) -> None:
-        """Pre-draw so the next ``n`` uniforms need no refill."""
-        self._ensure(n)
-
-    def _ensure(self, n: int) -> None:
-        available = int(self._buf.shape[0]) - self._pos
-        if available >= n:
-            return
-        fresh = self._state.random_sample(max(n - available, _BLOCK))
-        self._buf = _np.concatenate([self._buf[self._pos :], fresh])
-        self._pos = 0
-
-    def poisson_chunk(self, mean: float) -> int:
-        """One Knuth chunk: the scalar ``while product > exp(-mean)`` loop.
-
-        The chunk's running product starts at its own first uniform, so
-        ``cumprod`` over the lookahead reproduces the scalar rounding
-        sequence exactly; the first index at or under the limit is the
-        draw the scalar loop stops on.
-        """
-        limit = math.exp(-mean)
-        # ~8 sigma of lookahead finds the stop in one probe essentially
-        # always; the loop doubles on the astronomical misses.
-        need = int(mean + 8.0 * math.sqrt(mean + 1.0)) + 16
-        while True:
-            self._ensure(need)
-            pos = self._pos
-            cum = self._buf[pos : pos + need].cumprod()
-            # cumprod of [0, 1) uniforms is non-increasing, so the tail
-            # being under the limit guarantees a first crossing exists
-            # and bool argmax finds it.
-            if cum[-1] <= limit:
-                count = int((cum <= limit).argmax())
-                self._pos = pos + count + 1
-                self.consumed += count + 1
-                return count
-            need *= 2
-
-    def poisson(self, mean: float) -> int:
-        """The chunked sampler, mirroring :func:`repro.flow.sampler.poisson`."""
-        total = 0
-        remaining = mean
-        # One reserve for the whole draw: expected consumption is one
-        # uniform past the mean per chunk, plus ~8 sigma of slack.
-        chunks = int(mean // _POISSON_CHUNK) + 1
-        self.reserve(int(mean + 8.0 * math.sqrt(mean + 1.0)) + chunks + 32)
-        while remaining > _POISSON_CHUNK:
-            total += self.poisson_chunk(_POISSON_CHUNK)
-            remaining -= _POISSON_CHUNK
-        if remaining > 0:
-            total += self.poisson_chunk(remaining)
-        return total
+def _hand_back(
+    rng: random.Random, state: Tuple[Any, ...], drawn: int, used: int
+) -> None:
+    """Leave ``rng`` ``used`` draws past ``state``; the tape drew ``drawn``."""
+    if drawn == used:
+        source = _source
+    else:
+        # The tape read past the window's last draw: seat the initial
+        # state again and advance it by exactly the scalar loop's draws
+        # (each double is two 32-bit words).
+        source = _seat(state[1])
+        source.bit_generator.random_raw(2 * used, output=False)
+    inner = source.bit_generator.state["state"]
+    rng.setstate((_MT_VERSION, (*inner["key"].tolist(), int(inner["pos"])), state[2]))
 
 
 def sample_window_fast(
@@ -217,42 +177,82 @@ def sample_window_fast(
     returned outcome is bit-identical to the scalar path's, including
     the state ``rng`` is left in.
     """
-    if window.arrival_rate * window.width < _MIN_FAST_MEAN:
-        return None
-    if not _eligible(rng):
+    mean = window.arrival_rate * window.width
+    if mean < _MIN_FAST_MEAN or not _eligible(rng):
         return None
     state = rng.getstate()
     if state[0] != _MT_VERSION or len(state[1]) != 625:
         return None
-    global _tape_state, _advance_state
-    _tape_state = source = _rebuild(_tape_state, state)
-    tape = _UniformTape(source)
-    n = tape.poisson(window.arrival_rate * window.width)
+    fill = _seat(state[1]).random
+    accumulate = _np.multiply.accumulate
+    count_nonzero = _np.count_nonzero
+    # The window reads 2n + chunks uniforms for n ~ Poisson(mean).  The
+    # tape draws up to that many less three sigma, so it reads past the
+    # window's last draw only when n itself falls three sigma short.
+    budget = int(2.0 * mean - 6.0 * math.sqrt(mean)) + int(mean // _POISSON_CHUNK)
+    tape = _buffer[: min(_BLOCK, max(budget, 0))]
+    drawn = pos = end = 0
+
+    # Poisson phase: sampler.poisson's chunk loop.  The gate makes
+    # ``mean`` positive and x - 500 > 0 in floating point for every
+    # x > 500, so every chunk, the last included, draws.
+    n = 0
+    remaining = mean
+    while True:
+        if remaining > _POISSON_CHUNK:
+            limit, need = _CHUNK_LIMIT, _CHUNK_PROBE
+        else:
+            limit, need = math.exp(-remaining), _probe(remaining)
+        while True:
+            if pos + need > end:
+                # Refill: move the unread tail to the front and top up.
+                tail = end - pos
+                fresh = max(need - tail, min(_BLOCK - tail, budget - drawn))
+                if tail + fresh > tape.shape[0]:
+                    grown = _np.empty(tail + fresh)
+                    grown[:tail] = tape[pos:end]
+                    tape = grown
+                else:
+                    tape[:tail] = tape[pos:end]
+                end = tail + fresh
+                fill(out=tape[tail:end])
+                drawn += fresh
+                pos = 0
+            # cumprod of [0, 1) uniforms is non-increasing, so the count
+            # above the limit is the index of the first draw at or under
+            # it: the draw the scalar loop stops on.
+            count = int(count_nonzero(accumulate(tape[pos : pos + need]) > limit))
+            if count < need:
+                break
+            need *= 2
+        n += count
+        pos += count + 1
+        if remaining <= _POISSON_CHUNK:
+            break
+        remaining -= _POISSON_CHUNK
+    consumed = drawn - (end - pos)
+
     if n == 0:
-        _writeback(rng, state, tape.consumed)
+        _hand_back(rng, state, drawn, consumed)
         return WindowOutcome(window.index, "flow", 0, 0, window.density)
     try:
         p = float(window_collision_probability(id_bits, window, model))
     except ValueError:
         # Leave the stream where the scalar path would have left it
         # (past the Poisson draws) before propagating.
-        _writeback(rng, state, tape.consumed)
+        _hand_back(rng, state, drawn, consumed)
         raise
-    # Bernoulli phase: the draw count is known now, so draw the exact
-    # ``n`` uniforms from a fresh state advanced past the Poisson
-    # consumption — nothing here is lookahead, and the final stream
-    # state falls out of this state without a second re-advance.
-    _advance_state = rs = _rebuild(_advance_state, state)
-    if tape.consumed:
-        rs.random_sample(tape.consumed)
-    collisions = 0
-    remaining = n
-    while remaining > 0:
-        block = rs.random_sample(min(remaining, _BERNOULLI_BLOCK))
-        collisions += int(_np.count_nonzero(block < p))
-        remaining -= int(block.shape[0])
-    _kind, keys, pos, _has_gauss, _gauss = rs.get_state(legacy=True)
-    rng.setstate((_MT_VERSION, tuple(keys.tolist()) + (int(pos),), state[2]))
+    # Bernoulli phase: the lookahead holds the first draws, then whole
+    # blocks through the same buffer until exactly ``n`` are counted.
+    collisions = int(count_nonzero(tape[pos : min(end, pos + n)] < p))
+    left = n - (end - pos)
+    while left > 0:
+        block = tape[: min(left, tape.shape[0])]
+        fill(out=block)
+        drawn += block.shape[0]
+        collisions += int(count_nonzero(block < p))
+        left -= block.shape[0]
+    _hand_back(rng, state, drawn, consumed + n)
     return WindowOutcome(window.index, "flow", n, collisions, window.density)
 
 

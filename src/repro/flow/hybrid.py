@@ -222,7 +222,7 @@ def simulate(
     """
     if fidelity not in FIDELITY_MODES:
         raise ValueError(f"unknown fidelity {fidelity!r}")
-    if switch_threshold <= 0:
+    if not switch_threshold > 0:
         raise ValueError("switch_threshold must be positive")
     outcomes = run_windows(
         scenario,

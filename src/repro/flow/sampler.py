@@ -216,6 +216,17 @@ def _poisson_knuth(rng: random.Random, mean: float) -> int:
     return count
 
 
+def _checked_mean(mean: float) -> float:
+    """``mean``, or a ValueError if it is NaN, infinite or negative.
+
+    Knuth's loop never ends on an infinite mean and draws nothing on a
+    NaN one, so both are refused before the first draw.
+    """
+    if not 0.0 <= mean < math.inf:
+        raise ValueError(f"Poisson mean must be finite and >= 0, got {mean!r}")
+    return mean
+
+
 def poisson(rng: random.Random, mean: float) -> int:
     """A Poisson draw with the given mean, exact at any scale.
 
@@ -223,10 +234,8 @@ def poisson(rng: random.Random, mean: float) -> int:
     sum of independent bounded-mean Poissons, avoiding ``exp(-mean)``
     underflow while staying an exact sampler.
     """
-    if mean < 0:
-        raise ValueError("mean must be >= 0")
     total = 0
-    remaining = mean
+    remaining = _checked_mean(mean)
     while remaining > _POISSON_CHUNK:
         total += _poisson_knuth(rng, _POISSON_CHUNK)
         remaining -= _POISSON_CHUNK
@@ -250,11 +259,12 @@ def sample_window(
     """
     from .fastpath import sample_window_fast
 
+    mean = _checked_mean(window.arrival_rate * window.width)
     fast = sample_window_fast(window, id_bits, rng, model)
     if fast is not None:
         inc("flow.fastpath_hits")
         return fast
-    n = poisson(rng, window.arrival_rate * window.width)
+    n = poisson(rng, mean)
     if n == 0:
         return WindowOutcome(window.index, "flow", 0, 0, window.density)
     p = window_collision_probability(id_bits, window, model)

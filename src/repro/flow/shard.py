@@ -337,7 +337,7 @@ def simulate_sharded(
     """
     if fidelity not in FIDELITY_MODES:
         raise ValueError(f"unknown fidelity {fidelity!r}")
-    if switch_threshold <= 0:
+    if not switch_threshold > 0:
         raise ValueError("switch_threshold must be positive")
     runner = runner if runner is not None else TrialRunner()
     if shards is None:

@@ -1,18 +1,23 @@
 """The vectorised sampling fast path is bit-identical to the scalar loop.
 
-Three facts make the NumPy transplant exact (see the module docstring
+Three facts make the NumPy generator exact (see the module docstring
 of :mod:`repro.flow.fastpath`); each is pinned here directly, and then
 the end-to-end guarantee — same outcomes *and* same final stream state
-as the scalar loop — is checked on real windows, along with every
-eligibility gate that makes the fast path step aside.
+as the scalar loop — is checked on real windows, on every branch of
+the uniform tape, along with every eligibility gate that makes the
+fast path step aside.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.flow import fastpath
 from repro.flow.fastpath import (
     HAVE_NUMPY,
+    _BLOCK,
     _MIN_FAST_MEAN,
     fastpath_stats,
     pure_sampling,
@@ -64,6 +69,29 @@ class TestTransplantFacts:
             product *= value
             running.append(product)
         assert np.cumprod(draws).tolist() == running
+        assert np.multiply.accumulate(draws).tolist() == running
+
+    def test_generator_matches_random_random(self):
+        # Fact 1 for the generator the fast path seats each stream in,
+        # read through ``random(out=...)`` in uneven blocks as the tape
+        # reads it.
+        rng = random.Random(321)
+        source = fastpath._seat(rng.getstate()[1])
+        tape = np.empty(1000)
+        for lo, hi in ((0, 1), (1, 624), (624, 625), (625, 1000)):
+            source.random(out=tape[lo:hi])
+        assert tape.tolist() == [rng.random() for _ in range(1000)]
+
+    def test_raw_advance_matches_scalar_draws(self):
+        # Fact 3's fallback: two raw words per double put the generator
+        # exactly where that many scalar draws put the stream.
+        rng = random.Random(11)
+        source = fastpath._seat(rng.getstate()[1])
+        source.bit_generator.random_raw(2 * 1500, output=False)
+        for _ in range(1500):
+            rng.random()
+        inner = source.bit_generator.state["state"]
+        assert (*inner["key"].tolist(), inner["pos"]) == rng.getstate()[1]
 
     def test_final_state_equals_scalar_advance(self):
         # Fact 3: write-back leaves the stream exactly where the same
@@ -125,6 +153,96 @@ class TestBitIdentity:
             sample_window(window, 10, pure_rng, model="nope")
         # Both paths left the stream past the Poisson draws.
         assert fast_rng.getstate() == pure_rng.getstate()
+
+
+def exact_window(mean):
+    """A window whose ``arrival_rate * width`` is exactly ``mean``."""
+    return big_window(mean=mean, width=1.0)
+
+
+def assert_matches_pure(window, seed, model="mixed"):
+    fast_rng = random.Random(seed)
+    pure_rng = random.Random(seed)
+    fast = sample_window(window, 10, fast_rng, model=model)
+    with pure_sampling():
+        pure = sample_window(window, 10, pure_rng, model=model)
+    assert fast == pure
+    assert fast_rng.getstate() == pure_rng.getstate()
+    return fast
+
+
+@pytest.fixture
+def seat_calls(monkeypatch):
+    """The state words ``fastpath._seat`` is called with in the test."""
+    calls = []
+    seat = fastpath._seat
+    monkeypatch.setattr(
+        fastpath, "_seat", lambda keys: calls.append(keys) or seat(keys)
+    )
+    return calls
+
+
+@needs_numpy
+class TestTapeBranches:
+    """Each way the tape can end a window, against the scalar loop."""
+
+    def test_n_exceeds_one_bernoulli_block(self):
+        mean = 1.1 * 2**20
+        outcome = assert_matches_pure(exact_window(mean), 6)
+        assert outcome.transactions > 16 * _BLOCK
+
+    def test_knuth_chunk_straddles_a_refill(self):
+        # The Poisson phase alone reads more than one block, so some
+        # chunk's probe runs past the end of the first refill and the
+        # unread tail moves to the front of the tape.
+        assert_matches_pure(exact_window(1.5 * _BLOCK), 9)
+
+    def test_overdraw_seats_the_initial_state_again(self, seat_calls):
+        # Seed 830 draws n three sigma under the mean, so the tape ends
+        # past the window's last draw and the end state is rebuilt.
+        assert_matches_pure(exact_window(_MIN_FAST_MEAN), 830)
+        assert len(seat_calls) == 2
+
+    def test_tape_ending_on_the_last_draw_reads_the_generator(self, seat_calls):
+        assert_matches_pure(exact_window(_MIN_FAST_MEAN), 0)
+        assert len(seat_calls) == 1
+
+    @pytest.mark.parametrize("mean", [520.0, 3 * _MIN_FAST_MEAN])
+    def test_probe_misses_double_the_probe(self, mean, monkeypatch):
+        # A one-draw probe misses on every chunk, so each stop is found
+        # only after the probe has doubled past it.  On the small window
+        # a doubled probe outgrows the whole tape, which then grows.
+        monkeypatch.setattr(fastpath, "_MIN_FAST_MEAN", 1e-9)
+        monkeypatch.setattr(fastpath, "_CHUNK_PROBE", 1)
+        monkeypatch.setattr(fastpath, "_probe", lambda mean: 1)
+        for seed in range(8):
+            assert_matches_pure(exact_window(mean), seed)
+
+    def test_mean_exactly_at_the_gate(self):
+        window = exact_window(_MIN_FAST_MEAN)
+        assert window.arrival_rate * window.width == _MIN_FAST_MEAN
+        assert sample_window_fast(window, 10, random.Random(2)) is not None
+        assert_matches_pure(window, 2)
+
+    @pytest.mark.parametrize("mean", [0.4, 3.0, 40.0, 499.5, 500.0, 1000.5])
+    def test_small_means_below_the_gate(self, mean, monkeypatch):
+        # The gate is a cost decision only: with it lowered, tiny means
+        # (n == 0 included, a budget under one probe) still match.
+        monkeypatch.setattr(fastpath, "_MIN_FAST_MEAN", 1e-9)
+        counts = []
+        for seed in range(8):
+            assert sample_window_fast(exact_window(mean), 10, random.Random(seed))
+            counts.append(assert_matches_pure(exact_window(mean), seed).transactions)
+        assert mean > 1.0 or 0 in counts
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        mean=st.floats(min_value=_MIN_FAST_MEAN, max_value=150_000.0),
+        model=st.sampled_from(["mixed", "eq4"]),
+    )
+    def test_sweep_seeds_and_means(self, seed, mean, model):
+        assert_matches_pure(exact_window(mean), seed, model=model)
 
 
 def _pure(window, id_bits, rng):

@@ -62,6 +62,15 @@ class TestFidelityRouting:
         with pytest.raises(ValueError):
             simulate(scenario, 0, fidelity="hybrid", switch_threshold=0.0)
 
+    def test_rejects_nan_threshold(self):
+        # NaN fails every comparison, so only `not threshold > 0`
+        # refuses it; let through, it would disable every escalation.
+        with pytest.raises(ValueError, match="switch_threshold"):
+            simulate(
+                _burst_scenario(), 0, fidelity="hybrid",
+                switch_threshold=float("nan"),
+            )
+
     def test_fidelity_modes_constant(self):
         assert set(FIDELITY_MODES) == {"flow", "frame", "hybrid"}
 

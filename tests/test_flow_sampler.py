@@ -10,11 +10,15 @@ window accounting are pinned alongside.
 
 import math
 import random
+from contextlib import nullcontext
 
 import pytest
 
+from repro.analysis.sanitizer.runtime import sanitizing
 from repro.core.model import collision_probability, collision_probability_mixed
+from repro.flow.fastpath import pure_sampling
 from repro.flow.sampler import (
+    WindowSpec,
     poisson,
     sample_flow,
     sample_window,
@@ -81,6 +85,46 @@ class TestPoisson:
         rng = random.Random(3)
         draws = [poisson(rng, 12.5) for _ in range(2_000)]
         assert sum(draws) / len(draws) == pytest.approx(12.5, rel=0.05)
+
+
+class _NoDraws(random.Random):
+    """A stream that fails the test on its first draw."""
+
+    def random(self):
+        raise AssertionError("drew from the stream before rejecting the mean")
+
+
+#: Means Knuth's loop cannot sample: on NaN it draws once and returns
+#: 0, on an infinite mean it never returns, a negative one is meaningless.
+BAD_MEANS = pytest.mark.parametrize(
+    "mean", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"]
+)
+
+
+class TestBadMeanRejected:
+    """A NaN, infinite or negative mean fails before the first draw."""
+
+    @BAD_MEANS
+    def test_poisson(self, mean):
+        with pytest.raises(ValueError, match="Poisson mean must be finite"):
+            poisson(_NoDraws(1), mean)
+
+    @BAD_MEANS
+    @pytest.mark.parametrize("path", ["fast", "pure", "sanitizer"])
+    def test_sample_window(self, mean, path):
+        window = WindowSpec(0, 0.0, 1.0, mean, (0.05,), (mean,), 0.05 * mean)
+        # The fast path only takes a plain random.Random; the scalar
+        # paths get a stream that fails on its first draw.
+        rng = random.Random(1) if path == "fast" else _NoDraws(1)
+        before = rng.getstate()
+        mode = {
+            "fast": nullcontext(),
+            "pure": pure_sampling(),
+            "sanitizer": sanitizing(),
+        }[path]
+        with mode, pytest.raises(ValueError, match="Poisson mean must be finite"):
+            sample_window(window, 10, rng)
+        assert rng.getstate() == before
 
 
 class TestSamplerDeterminism:

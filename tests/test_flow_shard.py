@@ -248,3 +248,29 @@ class TestCalibrateSharding:
             flow_shards=2,
         )
         assert sharded == serial
+
+
+class TestConfigRejected:
+    """Bad flow configuration fails before any window runs."""
+
+    def test_nan_threshold(self):
+        # NaN fails every comparison, so only `not threshold > 0`
+        # refuses it; let through, it would disable every escalation.
+        with pytest.raises(ValueError, match="switch_threshold"):
+            simulate_sharded(
+                SCENARIO, SEED, fidelity="hybrid", switch_threshold=float("nan")
+            )
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--flow-workers", "0"), ("--flow-workers", "-3"), ("--flow-shards", "0")],
+    )
+    def test_cli_counts_below_one_exit_two(self, flag, value, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["flow", "run", "--nodes", "200", "--horizon", "20", flag, value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "must be at least 1" in captured.err
+        assert captured.out == ""
