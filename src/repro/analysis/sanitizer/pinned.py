@@ -55,18 +55,22 @@ def _run_collision(trace: pathlib.Path) -> Dict[str, Any]:
     )
 
 
-def _run_montecarlo(trace: pathlib.Path) -> Dict[str, Any]:
+def _run_montecarlo(trace: pathlib.Path, fixed_duration: bool = False) -> Dict[str, Any]:
     """A sharded Monte Carlo run — exercises the fork + merge pipeline."""
     from ...obs.record import record_montecarlo
 
     return record_montecarlo(
-        trace, id_bits=6, rate=5.0, horizon=40.0, mean_duration=1.0, seed=0, shards=2
+        trace, id_bits=6, rate=5.0, horizon=40.0, mean_duration=1.0,
+        fixed_duration=fixed_duration, seed=0, shards=2,
     )
 
 
 SCENARIOS: Dict[str, PinnedScenario] = {
     "collision": PinnedScenario("collision", _run_collision),
     "montecarlo": PinnedScenario("montecarlo", _run_montecarlo),
+    "montecarlo-fixed": PinnedScenario(
+        "montecarlo-fixed", lambda trace: _run_montecarlo(trace, fixed_duration=True)
+    ),
 }
 
 #: Modules whose import-time side effects (stream bookkeeping) must

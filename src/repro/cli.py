@@ -37,11 +37,22 @@ from .experiments.results import Table
 __all__ = ["main"]
 
 
+def _positive_int(text: str) -> int:
+    """Argparse type: an integer >= 1 (a usage error, exit 2, otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_exec_flags(sub: argparse.ArgumentParser, default_cache: Optional[str] = None) -> None:
     """Execution-layer options shared by every simulated subcommand."""
     group = sub.add_argument_group("execution")
     group.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_positive_int, default=1,
         help="worker processes for trial execution (default 1 = serial; "
         "results are identical at any worker count)",
     )
@@ -456,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "instead of exponential")
     mc.add_argument("--trials", type=int, default=2)
     mc.add_argument("--seed", type=int, default=0)
-    mc.add_argument("--shards", type=int, default=1,
+    mc.add_argument("--shards", type=_positive_int, default=1,
                     help="split each trial's horizon into this many "
                     "derived-seed time segments (results depend on "
                     "(seed, shards) only; see docs/parallel.md)")

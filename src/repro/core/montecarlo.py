@@ -32,12 +32,12 @@ time-weighted density with a few NumPy sorts and scans instead of one
   :class:`repro.exec.TrialRunner`'s workers when one is passed.
 
 Arrivals with a :class:`FixedDuration` and every identifier are drawn
-in bulk (:func:`_poisson_times`, :func:`_draw_identifiers`) from the
-stream's Mersenne Twister words, bit-identical to the per-draw
-``expovariate`` / ``randrange`` loops on three invariants: the same MT
-words in the same order, ``math.log`` for every gap, and the stream's
-end state.  Samplers that draw (:class:`ExponentialDuration`, lambdas)
-interleave their draws with the gaps and keep the per-draw loop.
+in bulk (:func:`_poisson_times`, :func:`_draw_identifiers`) through
+:mod:`repro.sim.bulk`, bit-identical to the per-draw ``expovariate`` /
+``randrange`` loops; under DetSan or on a proxy stream they run those
+loops, here, so DetSan books each draw at this module's call sites.
+Samplers that draw (:class:`ExponentialDuration`, lambdas) interleave
+their draws with the gaps and keep the per-draw loop.
 
 See ``docs/parallel.md`` for the sharding determinism contract.
 """
@@ -54,6 +54,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Opti
 import numpy as np
 
 from ..obs.spans import span
+from ..sim.bulk import eligible, seat, words
 from ..sim.rng import fallback_stream
 from ..sim.trace import TraceRecord
 from .identifiers import IdentifierSpace
@@ -107,68 +108,47 @@ class MonteCarloResult:
 
 
 # ----------------------------------------------------------------------
-# Bulk draws from a stream's Mersenne Twister words
+# Bulk draws through repro.sim.bulk
 # ----------------------------------------------------------------------
 #: Most arrivals one bulk chunk draws, so a long horizon never holds
 #: its whole word stream at once.
 _CHUNK_ARRIVALS = 1 << 18
 
-#: ``random()``'s scale: 53 random bits to a double in ``[0, 1)``.
-_RES53 = 2.0**-53
-
-
-def _words(rng: random.Random, count: int) -> np.ndarray:
-    """The stream's next ``count`` 32-bit outputs, in draw order.
-
-    One booked draw, ``getrandbits(32 * count)``: CPython fills the
-    integer from its least significant word up, one MT output per word,
-    so the little-endian words are the outputs in draw order on every
-    platform.
-    """
-    blob = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
-    return np.frombuffer(blob, dtype="<u4")
-
 
 def _poisson_times(
     rate: float, rng: random.Random, start: float, stop: float
-) -> np.ndarray:
+) -> Optional[np.ndarray]:
     """Poisson arrival times in ``[start, stop)``, drawn in bulk.
 
     Bit-identical to ``time += rng.expovariate(rate)`` repeated until
-    ``time >= stop``, on three invariants:
-
-    * the same MT words in the same order: ``random()`` is rebuilt from
-      word pairs as ``((a >> 5) * 2**26 + (b >> 6)) * 2**-53``, exactly
-      CPython's ``genrand_res53``;
-    * ``math.log`` (libm, as ``expovariate`` uses), never NumPy's SIMD
-      log, whose rounding may differ; the negation, the division and
-      the sequential ``np.add.accumulate`` round like the scalar loop;
-    * the stream's end state: the chunk that crosses ``stop`` is rewound
-      with ``getstate``/``setstate`` and exactly the consumed words are
-      drawn again, so a later draw from the stream sees what it would
-      after the per-draw loop.
+    ``time >= stop``: the same ``random()`` doubles in the same order
+    (:mod:`repro.sim.bulk`); ``math.log`` for every gap (libm, as
+    ``expovariate`` uses, never NumPy's SIMD log), with the negation,
+    division and sequential ``np.add.accumulate`` rounding like the
+    scalar loop; and the stream handed back just past the gap that
+    crosses ``stop``.  ``None`` when the bulk gate says no: the caller
+    then draws one gap at a time.
     """
     if not (0 < rate < math.inf and math.isfinite(start) and math.isfinite(stop)):
         raise ValueError("bulk arrivals need a finite positive rate and finite bounds")
+    reader = seat(rng)
+    if reader is None:
+        return None
     chunks: List[np.ndarray] = []
     time = start
     while True:
         expected = max(rate * (stop - time), 0.0)
         count = int(min(expected + 4.0 * math.sqrt(expected) + 16.0, _CHUNK_ARRIVALS))
-        state = rng.getstate()
-        words = _words(rng, 2 * count)
-        uniform = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * _RES53
-        logs = np.array(list(map(math.log, (1.0 - uniform).tolist())))
+        logs = np.array(list(map(math.log, (1.0 - reader.doubles(count)).tolist())))
         gaps = -logs / rate
         gaps[0] += time
         times = np.add.accumulate(gaps)
         crossed = int(np.searchsorted(times, stop))
         if crossed < count:
-            if crossed + 1 < count:
-                rng.setstate(state)
-                _words(rng, 2 * (crossed + 1))
+            reader.redraw(crossed + 1)
             chunks.append(times[:crossed])
             break
+        reader.redraw(count)
         chunks.append(times)
         time = float(times[-1])
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
@@ -182,21 +162,23 @@ def _draw_identifiers(space: IdentifierSpace, rng: random.Random, n: int) -> np.
     takes ``ceil(k / 32)`` words, low word first, the last one shifted
     right by the unused bits.  Each round draws exactly as many
     candidates as identifiers are still missing; the per-draw loop
-    would need at least that many, so nothing is overdrawn and the
-    stream needs no rewind.
+    would need at least that many, so nothing is overdrawn.  Past the
+    bulk gate each identifier is one ``randrange``, here.
     """
     size = space.size
+    if not (n and eligible(rng)):
+        return np.array([rng.randrange(size) for _ in range(n)], dtype=np.int64)
     bits = size.bit_length()
     per_draw = -(-bits // 32)
     out = np.empty(n, dtype=np.int64)
     filled = 0
     while filled < n:
         need = n - filled
-        words = _words(rng, need * per_draw).reshape(need, per_draw).astype(np.uint64)
-        words[:, -1] >>= np.uint64(32 * per_draw - bits)
-        draws = words[:, 0]
+        drawn = words(rng, need * per_draw).reshape(need, per_draw)
+        drawn[:, -1] >>= np.uint64(32 * per_draw - bits)
+        draws = drawn[:, 0]
         for j in range(1, per_draw):
-            draws = draws | (words[:, j] << np.uint64(32 * j))
+            draws = draws | (drawn[:, j] << np.uint64(32 * j))
         kept = draws[draws < size]
         out[filled:filled + len(kept)] = kept
         filled += len(kept)
@@ -218,11 +200,12 @@ def _generate_arrivals(
     Draw order (inter-arrival gap, then duration, repeated) is part of
     the determinism contract — reordering it re-rolls every recorded
     experiment.  A :class:`FixedDuration` draws nothing, so its gaps
-    come from :func:`_poisson_times` in bulk; samplers that draw keep
-    the per-draw loop.
+    come from :func:`_poisson_times` in bulk, or from the loop below
+    when the bulk gate says no; samplers that draw keep the loop.
     """
-    if type(duration_sampler) is FixedDuration:
-        times = _poisson_times(arrival_rate, rng, start, stop)
+    fixed = type(duration_sampler) is FixedDuration
+    times = _poisson_times(arrival_rate, rng, start, stop) if fixed else None
+    if times is not None:
         seconds = duration_sampler.seconds
         if len(times) and not seconds >= 0:
             raise ValueError("duration sampler returned a negative or NaN duration")

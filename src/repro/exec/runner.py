@@ -498,7 +498,7 @@ class TrialRunner:
     def _drain_pipes(fds: Sequence[int]) -> Dict[int, Dict[str, Any]]:
         """Multiplex reads so no worker blocks on a full pipe buffer."""
         messages: Dict[int, Dict[str, Any]] = {}
-        buffers: Dict[int, bytes] = {fd: b"" for fd in fds}
+        buffers: Dict[int, bytearray] = {fd: bytearray() for fd in fds}
         selector = selectors.DefaultSelector()
         for fd in fds:
             selector.register(fd, selectors.EVENT_READ)
@@ -512,14 +512,14 @@ class TrialRunner:
                     os.close(fd)
                     open_fds.discard(fd)
                     continue
-                buffers[fd] += chunk
-                while len(buffers[fd]) >= 4:
-                    size = int.from_bytes(buffers[fd][:4], "big")
-                    if len(buffers[fd]) < 4 + size:
+                buf = buffers[fd]  # a bytearray: append and front-delete are O(1)
+                buf += chunk
+                while len(buf) >= 4:
+                    size = int.from_bytes(buf[:4], "big")
+                    if len(buf) < 4 + size:
                         break
-                    frame = buffers[fd][4 : 4 + size]
-                    buffers[fd] = buffers[fd][4 + size :]
-                    message = json.loads(frame.decode("utf-8"))
+                    message = json.loads(buf[4 : 4 + size].decode("utf-8"))
+                    del buf[: 4 + size]
                     messages[message.pop("index")] = message
         selector.close()
         return messages

@@ -23,7 +23,7 @@ from .calibrate import (
     calibrate,
     replicate_flow,
 )
-from .fastpath import HAVE_NUMPY, pure_sampling
+from .fastpath import pure_sampling
 from .hybrid import DEFAULT_SWITCH_THRESHOLD, FIDELITY_MODES, simulate, wants_frame
 from .sampler import (
     FlowResult,
@@ -57,7 +57,6 @@ __all__ = [
     "CalibrationReport",
     "DEFAULT_SWITCH_THRESHOLD",
     "FIDELITY_MODES",
-    "HAVE_NUMPY",
     "PARTITION_STRATEGIES",
     "FlowResult",
     "FlowScenario",

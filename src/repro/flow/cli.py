@@ -71,18 +71,11 @@ def _merged_spans(
     return spans or None
 
 
-def _positive_int(text: str) -> int:
-    """Argparse type: an integer >= 1 (a usage error, exit 2, otherwise)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
+    if not args.threshold > 0:
+        print(f"flow run: --threshold must be > 0, got {args.threshold}", file=sys.stderr)
+        return 2
+
     from contextlib import nullcontext
 
     from ..obs.spans import SpanProfiler, profiling
@@ -150,11 +143,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     wall = clock() - t0
     layout = ""
     if sharded:
-        shards = (
-            args.flow_shards
-            if args.flow_shards is not None
-            else max(args.flow_workers, 1)
-        )
+        shards = args.flow_shards or args.flow_workers
         layout = f", {args.flow_workers} worker(s) × {shards} shard(s)"
     print(
         f"{args.fidelity} run: {result.transactions} transactions, "
@@ -259,7 +248,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
     """Attach the ``flow`` sub-subcommands to the given subparser."""
-    from ..cli import _add_exec_flags
+    from ..cli import _add_exec_flags, _positive_int
     from ..experiments.figures import FIG4_DEFAULT_ID_BITS
     from .calibrate import DEFAULT_DENSITIES, DEFAULT_TOLERANCE
     from .hybrid import DEFAULT_SWITCH_THRESHOLD, FIDELITY_MODES

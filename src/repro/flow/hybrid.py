@@ -78,8 +78,9 @@ def frame_window(
     criterion, tie rules and all, as the Monte Carlo ground truth.
     Both draws are bulk (:func:`repro.core.montecarlo._generate_arrivals`
     with a :class:`~repro.core.montecarlo.FixedDuration`, and
-    :func:`repro.core.montecarlo._draw_identifiers`), bit-identical to
-    drawing one arrival and one identifier at a time, and the arrays
+    :func:`repro.core.montecarlo._draw_identifiers`, via
+    :mod:`repro.sim.bulk`), bit-identical to drawing one arrival and one
+    identifier at a time, which they do instead under DetSan; the arrays
     stay NumPy from the draw to the collision kernel.
 
     With ``writer`` the window streams one record per transaction in

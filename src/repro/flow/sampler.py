@@ -252,7 +252,7 @@ def sample_window(
 
     Draw order (count, then one Bernoulli per transaction) is part of
     the determinism contract; reordering re-rolls recorded runs.  When
-    the stream is a plain ``random.Random`` and NumPy is available the
+    the bulk reader (:mod:`repro.sim.bulk`) admits the stream, the
     draws run through the vectorised fast path
     (:mod:`repro.flow.fastpath`), which is bit-identical to this loop
     including the stream's final state.

@@ -210,7 +210,7 @@ def _cmd_why(args: argparse.Namespace) -> int:
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
     """Attach the ``obs`` sub-subcommands to the given subparser."""
-    from ..cli import _add_exec_flags
+    from ..cli import _add_exec_flags, _positive_int
 
     sub = parser.add_subparsers(dest="obs_command", required=True)
 
@@ -234,7 +234,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     mc.add_argument("--warmup", type=float, default=0.0)
     mc.add_argument("--mean-duration", type=float, default=1.0)
     mc.add_argument("--fixed-duration", action="store_true")
-    mc.add_argument("--shards", type=int, default=1,
+    mc.add_argument("--shards", type=_positive_int, default=1,
                     help="horizon segments; the exported trace is "
                     "byte-identical at any worker count")
     col = rec.add_argument_group("collision scenario")

@@ -167,6 +167,28 @@ class TestMonteCarloCommand:
         assert "shards=2" in out
 
 
+class TestCountsBelowOne:
+    """Worker and shard counts under 1 are usage errors, before any work."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure", "4", "--workers", "0"],
+            ["montecarlo", "--shards", "0"],
+            ["obs", "record", "--scenario", "montecarlo", "--shards", "0",
+             "--out", "unused.jsonl"],
+        ],
+        ids=["workers", "montecarlo-shards", "obs-record-shards"],
+    )
+    def test_exit_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "must be at least 1, got 0" in captured.err
+        assert captured.out == ""
+
+
 class TestCacheCommand:
     def test_stats_gc_purge_lifecycle(self, tmp_path, capsys):
         import repro

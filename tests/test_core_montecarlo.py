@@ -548,6 +548,37 @@ class TestBulkDraws:
         assert rng.getstate() == before
 
 
+class TestBulkDrawsUnderSanitizer:
+    """Under DetSan the bulk gate says no: the draws go one at a time,
+    booked at this module's call sites, and the numbers do not move."""
+
+    def test_fixed_duration_draws_are_booked_per_draw(self):
+        from repro.analysis.sanitizer import DetSanContext, sanitizing
+        from repro.sim.rng import RngRegistry
+
+        def run():
+            return simulate_collision_rate(
+                6, 5.0, FixedDuration(1.0), horizon=60.0,
+                rng=RngRegistry(5).stream("mc"),
+            )
+
+        plain = run()
+        with sanitizing(DetSanContext(seed=0)) as san:
+            watched = run()
+            payloads = san.observations()
+        assert watched == plain
+        sites = {}
+        for payload in payloads:
+            sites.update(payload.get("draws", {}).get("mc", {}))
+        assert sites and all("core/montecarlo.py" in site for site in sites)
+        gaps = sum(n for site, n in sites.items() if site.endswith(":_generate_arrivals"))
+        # One gap per arrival plus the one that crosses the horizon, and
+        # one booked ``randrange`` per identifier (its rejection redraws
+        # stay inside the underlying stream).
+        assert gaps == plain.transactions + 1
+        assert sum(sites.values()) - gaps == plain.transactions
+
+
 class TestSharding:
     PIN_SMALL = (949, 0.12539515279241306, 4.561522717310129)
     PIN_LONG = (24063, 0.02169305572871213, 11.909173485859137)

@@ -88,6 +88,40 @@ class TestSerialParallelEquality:
         assert [o.worker for o in forked] == [0, 1, 0]
 
 
+class TestPipeTransport:
+    """Length-prefixed JSON frames from forked workers, however they arrive."""
+
+    def test_multi_megabyte_value_survives_a_forked_worker(self):
+        blob = "".join(chr(ord("a") + i % 26) for i in range(5_000_000))
+        specs = [
+            TrialSpec(fn=lambda: {"blob": blob}, kwargs={}),
+            TrialSpec(fn=lambda: 2.5, kwargs={}),
+        ]
+        outcomes = TrialRunner(workers=2).run(specs)
+        assert outcomes[0].ok and outcomes[0].value == {"blob": blob}
+        assert outcomes[1].value == 2.5
+
+    def test_length_header_split_across_reads(self, monkeypatch):
+        import repro.exec.runner as runner_module
+
+        messages = [{"index": 4, "value": "x" * 10}, {"index": 1, "value": [1, 2]}]
+        read_fd, write_fd = os.pipe()
+        for message in messages:
+            data = json.dumps(message).encode("utf-8")
+            os.write(write_fd, len(data).to_bytes(4, "big") + data)
+        os.close(write_fd)
+        # Three bytes per read: the first frame's header arrives as 3 + 1
+        # bytes, and later headers straddle reads at other offsets.
+        real_read = os.read
+        monkeypatch.setattr(
+            runner_module.os,
+            "read",
+            lambda fd, n: real_read(fd, 3 if fd == read_fd else n),
+        )
+        drained = TrialRunner._drain_pipes([read_fd])
+        assert drained == {4: {"value": "x" * 10}, 1: {"value": [1, 2]}}
+
+
 class TestShardingAndOrdering:
     def test_outcomes_align_with_specs_and_round_robin_workers(self):
         specs = [

@@ -10,13 +10,13 @@ fast path step aside.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.flow import fastpath
 from repro.flow.fastpath import (
-    HAVE_NUMPY,
     _BLOCK,
     _MIN_FAST_MEAN,
     fastpath_stats,
@@ -24,11 +24,7 @@ from repro.flow.fastpath import (
     sample_window_fast,
 )
 from repro.flow.sampler import WindowSpec, sample_window
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
-
-if HAVE_NUMPY:
-    import numpy as np
+from repro.sim import bulk
 
 
 def big_window(mean=8192.0, width=10.0, index=0):
@@ -45,7 +41,6 @@ def big_window(mean=8192.0, width=10.0, index=0):
     )
 
 
-@needs_numpy
 class TestTransplantFacts:
     def test_random_sample_matches_random_random(self):
         # Fact 1: both fold the same two MT19937 words into one double.
@@ -76,7 +71,7 @@ class TestTransplantFacts:
         # read through ``random(out=...)`` in uneven blocks as the tape
         # reads it.
         rng = random.Random(321)
-        source = fastpath._seat(rng.getstate()[1])
+        source = bulk._seat(rng.getstate()[1])
         tape = np.empty(1000)
         for lo, hi in ((0, 1), (1, 624), (624, 625), (625, 1000)):
             source.random(out=tape[lo:hi])
@@ -86,7 +81,7 @@ class TestTransplantFacts:
         # Fact 3's fallback: two raw words per double put the generator
         # exactly where that many scalar draws put the stream.
         rng = random.Random(11)
-        source = fastpath._seat(rng.getstate()[1])
+        source = bulk._seat(rng.getstate()[1])
         source.bit_generator.random_raw(2 * 1500, output=False)
         for _ in range(1500):
             rng.random()
@@ -110,7 +105,6 @@ class TestTransplantFacts:
         ]
 
 
-@needs_numpy
 class TestBitIdentity:
     @pytest.mark.parametrize("seed", [0, 1, 42, 2**31])
     @pytest.mark.parametrize("mean", [4096.0, 8192.0, 100_000.0])
@@ -173,16 +167,15 @@ def assert_matches_pure(window, seed, model="mixed"):
 
 @pytest.fixture
 def seat_calls(monkeypatch):
-    """The state words ``fastpath._seat`` is called with in the test."""
+    """The state words ``bulk._seat`` is called with in the test."""
     calls = []
-    seat = fastpath._seat
+    seat = bulk._seat
     monkeypatch.setattr(
-        fastpath, "_seat", lambda keys: calls.append(keys) or seat(keys)
+        bulk, "_seat", lambda keys: calls.append(keys) or seat(keys)
     )
     return calls
 
 
-@needs_numpy
 class TestTapeBranches:
     """Each way the tape can end a window, against the scalar loop."""
 
@@ -251,19 +244,16 @@ def _pure(window, id_bits, rng):
 
 
 class TestEligibilityGates:
-    @needs_numpy
     def test_small_mean_uses_scalar_path(self):
         window = big_window(mean=_MIN_FAST_MEAN / 2)
         assert sample_window_fast(window, 10, random.Random(0)) is None
 
-    @needs_numpy
     def test_pure_sampling_forces_scalar(self):
         with pure_sampling():
             assert sample_window_fast(big_window(), 10, random.Random(0)) is None
             assert fastpath_stats()["forced_pure"]
         assert not fastpath_stats()["forced_pure"]
 
-    @needs_numpy
     def test_subclassed_rng_is_ineligible(self):
         class Counting(random.Random):
             calls = 0
@@ -278,7 +268,6 @@ class TestEligibilityGates:
         sample_window(big_window(), 10, rng)
         assert Counting.calls > 0
 
-    @needs_numpy
     def test_sanitizer_forces_scalar(self):
         from repro.analysis.sanitizer.runtime import sanitizing
 

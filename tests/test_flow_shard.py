@@ -274,3 +274,15 @@ class TestConfigRejected:
         captured = capsys.readouterr()
         assert "must be at least 1" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["0", "-2", "nan"])
+    def test_cli_bad_threshold_exits_two(self, value, capsys):
+        from repro.cli import main
+
+        code = main(
+            ["flow", "run", "--nodes", "200", "--horizon", "20", "--threshold", value]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--threshold must be > 0" in captured.err
+        assert captured.out == ""
