@@ -81,14 +81,17 @@ def results_dir():
 def trial_runner():
     """A REPRO_WORKERS-wide TrialRunner; telemetry feeds BENCH json.
 
-    Span profiling is on so published telemetry carries the per-layer
-    wall-time breakdown (``layer_times``), which bench-trend folds into
-    TREND.jsonl.  Profiling is observational — simulated results are
-    bit-identical with it off.
+    The test runs under an installed span profiler, which the runner
+    carries into every trial, so published telemetry carries the
+    per-layer wall-time breakdown (``layer_times``) that bench-trend
+    folds into TREND.jsonl.  Profiling is observational — simulated
+    results are bit-identical with it off.
     """
     from repro.exec import TrialRunner
+    from repro.obs.spans import profiling
 
-    return TrialRunner(workers=WORKERS, profile=True)
+    with profiling():
+        yield TrialRunner(workers=WORKERS)
 
 
 @pytest.fixture

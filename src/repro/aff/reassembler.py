@@ -21,8 +21,7 @@ from typing import Callable, List, Optional
 
 from ..net.checksum import ChecksumFn, fletcher16
 from ..net.reassembly import ReassemblyBuffer
-from ..obs.metrics import active_metrics
-from ..obs.spans import active_profiler
+from .. import instruments
 from .wire import DataFragment, Fragment, IntroFragment
 
 __all__ = ["Reassembler", "ReassemblerStats"]
@@ -85,11 +84,12 @@ class Reassembler:
             timeout=timeout, max_entries=max_entries
         )
         self._delivered: List[bytes] = []
-        # Observational-only span profiling, bound at construction.
-        self._profiler = active_profiler()
-        # Deterministic counters (fragments, conflicts, checksum fates);
-        # bound once here, one None-check per accept when off.
-        self._metrics = active_metrics()
+        # Instruments, bound once at construction: observational-only
+        # span profiling, and deterministic counters (fragments,
+        # conflicts, checksum fates), one None-check per accept when off.
+        installed = instruments.active()
+        self._profiler = installed.profiler
+        self._metrics = installed.metrics
 
     # ------------------------------------------------------------------
     @property

@@ -418,8 +418,8 @@ class PartitionInvariantRule(ProjectRule):
         monotonically in between.  Statements assigning/appending to
         the list partition (in source order) into segments, one per
         assignment; every segment must close its proof independently
-        (the even/cost strategy branches of ``partition_plan`` each
-        form one segment).
+        (alternative branches that each build the list form one
+        segment apiece).
         """
         params = _param_set(info)
         events: List[_BoundsEvent] = []

@@ -7,11 +7,12 @@ contamination, and event-queue tie-order sensitivity can only be proven
 absent by *running* the code under instrumentation.  This module holds
 the runtime pieces that instrumented code touches on its hot paths:
 
-* a module-level activation slot exactly like
-  :mod:`repro.obs.spans` — :func:`sanitizing` installs a
-  :class:`DetSanContext` for a ``with`` block, instrumented code asks
-  :func:`active_sanitizer` (usually once, at construction) and pays one
-  ``None``-check when the sanitizer is off;
+* activation through the sanitizer part of the one instrumentation
+  slot (:mod:`repro.instruments`), beside span profiling and metrics —
+  :func:`sanitizing` installs a :class:`DetSanContext` for a ``with``
+  block, instrumented code asks :func:`active_sanitizer` (usually once,
+  at construction) and pays one ``None``-check when the sanitizer is
+  off;
 * the **RNG draw ledger** (:class:`RngLedger`): every draw from a
   registered :mod:`repro.sim.rng` stream is attributed to
   ``(stream, call site)`` via a shallow stack fingerprint, and draws
@@ -32,9 +33,9 @@ worker drains its ledger into the result message
 analysis in :mod:`.detectors` can compare call-site sets *across*
 processes.
 
-This module imports nothing from the rest of the package (stdlib
-only): the simulation kernel and the RNG registry import it, so it
-must sit at the very bottom of the layering, beside
+This module imports nothing from the rest of the package but the slot
+(stdlib only otherwise): the simulation kernel and the RNG registry
+import it, so it must sit at the very bottom of the layering, beside
 :mod:`repro.obs.spans`.
 """
 
@@ -47,6 +48,8 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set
+
+from ... import instruments as _slot
 
 __all__ = [
     "DetSanContext",
@@ -395,14 +398,12 @@ class DetSanContext:
 
 
 # ----------------------------------------------------------------------
-# Activation: the module slot and global-RNG patching
+# Activation: the sanitizer part of the slot and global-RNG patching
 # ----------------------------------------------------------------------
-_ACTIVE: Optional[DetSanContext] = None
-
-
 def active_sanitizer() -> Optional[DetSanContext]:
     """The installed sanitizer context, or None when DetSan is off."""
-    return _ACTIVE
+    context: Optional[DetSanContext] = _slot.active().sanitizer
+    return context
 
 
 def _patch_global_random(ledger: RngLedger) -> Dict[str, Any]:
@@ -448,15 +449,12 @@ def sanitizing(
     objects built inside the block stay instrumented for their
     lifetime; objects built outside it are never touched.
     """
-    global _ACTIVE
     ctx = context if context is not None else DetSanContext()
-    previous = _ACTIVE
-    _ACTIVE = ctx
-    originals = _patch_global_random(ctx.ledger)
-    if ctx.fork_baseline is None:
-        ctx.fork_baseline = state_snapshot()
-    try:
-        yield ctx
-    finally:
-        _unpatch_global_random(originals)
-        _ACTIVE = previous
+    with _slot.installed(_slot.active()._replace(sanitizer=ctx)):
+        originals = _patch_global_random(ctx.ledger)
+        if ctx.fork_baseline is None:
+            ctx.fork_baseline = state_snapshot()
+        try:
+            yield ctx
+        finally:
+            _unpatch_global_random(originals)

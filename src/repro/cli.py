@@ -25,14 +25,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import ExitStack
 from typing import Optional, Sequence
 
 from .core import model
 from .exec import ResultCache, TrialRunner
 from .experiments import figures as figs
-
 from .experiments.plotting import render_series
 from .experiments.results import Table
+from .obs.metrics import collecting, write_snapshot
+from .obs.spans import profiling
 
 __all__ = ["main"]
 
@@ -72,8 +74,9 @@ def _add_exec_flags(sub: argparse.ArgumentParser, default_cache: Optional[str] =
     )
     group.add_argument(
         "--profile", action="store_true",
-        help="profile per-layer wall time inside trials (observational "
-        "only; summaries land in telemetry and obs summaries)",
+        help="profile per-layer wall time across the command and its "
+        "trials (observational only; summaries land in telemetry and "
+        "obs summaries)",
     )
     group.add_argument(
         "--metrics", default=None, metavar="PATH",
@@ -87,11 +90,7 @@ def _make_runner(args: argparse.Namespace) -> TrialRunner:
     cache = None
     if getattr(args, "cache_dir", None) and not getattr(args, "no_cache", False):
         cache = ResultCache(args.cache_dir)
-    return TrialRunner(
-        workers=getattr(args, "workers", 1),
-        cache=cache,
-        profile=getattr(args, "profile", False),
-    )
+    return TrialRunner(workers=getattr(args, "workers", 1), cache=cache)
 
 
 def _finish_exec(runner: TrialRunner, args: argparse.Namespace) -> None:
@@ -395,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig = sub.add_parser("figure", help="regenerate a paper figure (1-4)")
     fig.add_argument("number", type=int)
-    fig.add_argument("--trials", type=int, default=3)
+    fig.add_argument("--trials", type=_positive_int, default=3)
     fig.add_argument("--duration", type=float, default=20.0)
     fig.add_argument("--seed", type=int, default=0)
     _add_exec_flags(fig)
@@ -408,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     mod.set_defaults(func=_cmd_model)
 
     val = sub.add_parser("validate", help="quick model-vs-simulation check")
-    val.add_argument("--trials", type=int, default=2)
+    val.add_argument("--trials", type=_positive_int, default=2)
     val.add_argument("--duration", type=float, default=15.0)
     val.add_argument("--seed", type=int, default=0)
     _add_exec_flags(val)
@@ -425,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="write every figure + scenario to a dir")
     rep.add_argument("--output", default="repro-report")
-    rep.add_argument("--trials", type=int, default=2)
+    rep.add_argument("--trials", type=_positive_int, default=2)
     rep.add_argument("--duration", type=float, default=15.0)
     rep.add_argument("--seed", type=int, default=0)
     # Reports cache by default (under the output directory) so a re-run
@@ -446,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     swp.add_argument("--selector", choices=("uniform", "listening", "oracle"),
                      default="uniform")
-    swp.add_argument("--trials", type=int, default=2)
+    swp.add_argument("--trials", type=_positive_int, default=2)
     swp.add_argument("--duration", type=float, default=10.0)
     swp.add_argument("--seed", type=int, default=0)
     _add_exec_flags(swp)
@@ -465,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--fixed-duration", action="store_true",
                     help="constant durations (paper's same-length case) "
                     "instead of exponential")
-    mc.add_argument("--trials", type=int, default=2)
+    mc.add_argument("--trials", type=_positive_int, default=2)
     mc.add_argument("--seed", type=int, default=0)
     mc.add_argument("--shards", type=_positive_int, default=1,
                     help="split each trial's horizon into this many "
@@ -581,21 +580,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_lint_argv(arguments[1:])
     parser = build_parser()
     args = parser.parse_args(arguments)
-    # ``--metrics PATH`` activates the deterministic metrics registry
-    # around the whole command (one slot, mirroring span profiling) and
-    # snapshots it afterwards.  Centralized here so every subcommand
-    # that takes the flag behaves identically.
+    # ``--metrics PATH`` and ``--profile`` install their instruments
+    # around the whole command (one slot, see repro.instruments):
+    # subcommands read the installed profiler, and every TrialRunner
+    # carries both into its trials and merges what they observed back.
     metrics_out = getattr(args, "metrics", None)
-    if metrics_out:
-        from .obs.metrics import MetricsRegistry, collecting, write_snapshot
-
-        registry = MetricsRegistry()
-        with collecting(registry):
-            code = int(args.func(args))
+    with ExitStack() as stack:
+        registry = stack.enter_context(collecting()) if metrics_out else None
+        if getattr(args, "profile", False):
+            stack.enter_context(profiling())
+        code = args.func(args)
+    if registry is not None:
         written = write_snapshot(metrics_out, registry)
         print(f"wrote {written} metric(s) to {metrics_out}", file=sys.stderr)
-        return code
-    return args.func(args)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

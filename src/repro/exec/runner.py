@@ -49,9 +49,10 @@ from typing import (
     Tuple,
 )
 
-from ..analysis.sanitizer.runtime import active_sanitizer, state_snapshot
-from ..obs.metrics import MetricsRegistry, active_metrics, collecting
-from ..obs.spans import SpanProfiler, profiling
+from .. import instruments
+from ..analysis.sanitizer.runtime import state_snapshot
+from ..obs.metrics import MetricsRegistry
+from ..obs.spans import SpanProfiler
 from .cache import ResultCache
 from .telemetry import RunTelemetry, TrialRecord
 
@@ -194,8 +195,6 @@ def execute_call(
     kwargs: Mapping[str, Any],
     timeout: Optional[float],
     retries: int,
-    profile: bool = False,
-    metrics: bool = False,
 ) -> Dict[str, Any]:
     """Run ``fn(**kwargs)`` with deadline + bounded retry; return a message.
 
@@ -206,29 +205,20 @@ def execute_call(
     the Python-level decode walk (a real cost when a sharded trial
     ships hundreds of kilobytes of packed segment data).
 
-    With ``profile`` a fresh :class:`repro.obs.spans.SpanProfiler` is
-    active around the trial call, and the successful message carries its
-    span table under ``"spans"`` — that is how per-layer wall time
-    crosses the process boundary from workers back to the parent's
-    telemetry.  Profiling is observational: the trial's value is
-    identical either way.
-
-    ``metrics`` does the same for the deterministic counter layer: a
-    fresh :class:`repro.obs.metrics.MetricsRegistry` is active per
-    *attempt* (a failed attempt's partial counts never leak into the
-    totals), and the successful message carries the table under
-    ``"metrics"``.  The trial itself books ``exec.trials`` and
-    ``exec.retries`` into that nested registry, so exec-layer counts
-    travel and merge exactly like simulation-layer ones.
-
-    Under an active DetSan context the message likewise carries the
-    process's drained draw-ledger observations under ``"sanitizer"``
-    (see :mod:`repro.analysis.sanitizer.runtime`), and module-state
-    snapshots are compared at trial entry (fork-phase drift: state
+    Each attempt runs under the installed instruments
+    (:mod:`repro.instruments`), with a fresh profiler and registry in
+    place of installed ones, so a failed attempt's partial spans and
+    counts never leak into the totals.  What the trial observed, plus
+    its ``exec.trial`` span and ``exec.trials``/``exec.retries``
+    counts, travels as one ``"instruments"`` payload (:func:`_export`)
+    that the parent merges back (:func:`_absorb`); with nothing
+    installed there is no payload.  Under DetSan, module-state
+    snapshots are also compared at trial entry (fork-phase drift: state
     mutated *between* trials) and across the call (trial-phase drift).
-    Also purely observational.
+    All of this is observational: the trial's value is identical either
+    way.
     """
-    san = active_sanitizer()
+    san = instruments.active().sanitizer
     pre_state: Dict[str, str] = {}
     if san is not None:
         san.check_fork_drift(state_snapshot())
@@ -237,22 +227,11 @@ def execute_call(
     skipped = _deadline_unusable(timeout)
     while True:
         attempts += 1
-        prof = SpanProfiler() if profile else None
-        registry = MetricsRegistry() if metrics else None
+        trial = _trial_instruments()
         t0 = time.perf_counter()
         try:
-            with _deadline(timeout):
-                if prof is not None and registry is not None:
-                    with profiling(prof), collecting(registry):
-                        value = fn(**dict(kwargs))
-                elif prof is not None:
-                    with profiling(prof):
-                        value = fn(**dict(kwargs))
-                elif registry is not None:
-                    with collecting(registry):
-                        value = fn(**dict(kwargs))
-                else:
-                    value = fn(**dict(kwargs))
+            with _deadline(timeout), instruments.installed(trial):
+                value = fn(**dict(kwargs))
             encoded = encode_jsonable(value)
             text = json.dumps(encoded, allow_nan=False)  # transportability gate
             message: Dict[str, Any] = {
@@ -263,20 +242,6 @@ def execute_call(
             }
             if '"__float__"' not in text:
                 message["plain"] = True
-            if skipped:
-                message["deadline_skipped"] = skipped
-            if prof is not None:
-                prof.add("exec.trial", message["duration"])
-                message["spans"] = prof.to_json()
-            if registry is not None:
-                registry.inc("exec.trials")
-                if attempts > 1:
-                    registry.inc("exec.retries", attempts - 1)
-                message["metrics"] = registry.to_json()
-            if san is not None:
-                san.record_trial_drift(pre_state, state_snapshot(), _trial_site(fn))
-                message["sanitizer"] = san.export_for_message()
-            return message
         except Exception as exc:
             if attempts <= retries:
                 continue
@@ -288,12 +253,61 @@ def execute_call(
                 "duration": time.perf_counter() - t0,
                 "attempts": attempts,
             }
-            if skipped:
-                message["deadline_skipped"] = skipped
-            if san is not None:
-                san.record_trial_drift(pre_state, state_snapshot(), _trial_site(fn))
-                message["sanitizer"] = san.export_for_message()
-            return message
+        if skipped:
+            message["deadline_skipped"] = skipped
+        if san is not None:
+            san.record_trial_drift(pre_state, state_snapshot(), _trial_site(fn))
+        parts = _export(trial, message)
+        if parts:
+            message["instruments"] = parts
+        return message
+
+
+def _trial_instruments() -> instruments.Instruments:
+    """One attempt's instruments: a fresh profiler and registry where
+    one is installed, and the installed DetSan context, whose ledger
+    drains into every message."""
+    installed = instruments.active()
+    return installed._replace(
+        profiler=None if installed.profiler is None else SpanProfiler(),
+        metrics=None if installed.metrics is None else MetricsRegistry(),
+    )
+
+
+def _export(trial: instruments.Instruments, message: Dict[str, Any]) -> Dict[str, Any]:
+    """The instruments payload of a finished trial.
+
+    Spans and counts ship only from a successful attempt; DetSan's
+    observations ship either way.
+    """
+    parts: Dict[str, Any] = {}
+    if message["ok"] and trial.profiler is not None:
+        trial.profiler.add("exec.trial", message["duration"])
+        parts["spans"] = trial.profiler.to_json()
+    if message["ok"] and trial.metrics is not None:
+        trial.metrics.inc("exec.trials")
+        if message["attempts"] > 1:
+            trial.metrics.inc("exec.retries", message["attempts"] - 1)
+        parts["metrics"] = trial.metrics.to_json()
+    if trial.sanitizer is not None:
+        parts["sanitizer"] = trial.sanitizer.export_for_message()
+    return parts
+
+
+def _absorb(parts: Mapping[str, Any], telemetry: Optional[RunTelemetry]) -> None:
+    """Merge a trial's payload into the installed instruments and
+    ``telemetry``; a worker's draw-ledger observations carry its pid."""
+    installed = instruments.active()
+    if "spans" in parts:
+        installed.profiler.merge(parts["spans"])
+        if telemetry is not None:
+            telemetry.add_spans(parts["spans"])
+    if "metrics" in parts:
+        installed.metrics.merge_json(parts["metrics"])
+        if telemetry is not None:
+            telemetry.add_metrics(parts["metrics"])
+    if "sanitizer" in parts:
+        installed.sanitizer.absorb(parts["sanitizer"])
 
 
 def _trial_site(fn: Callable[..., Any]) -> Optional[str]:
@@ -324,11 +338,12 @@ class TrialRunner:
         Extra attempts after a failed/timed-out one (total attempts =
         ``retries + 1``).  Retries re-run the identical inputs, so they
         only help against nondeterministic externalities (timeouts).
-    profile:
-        When True every trial runs under a span profiler and its
-        per-layer wall times flow into :attr:`telemetry` (and across
-        worker pipes for forked trials).  Observational only —
-        results are bit-identical with profiling on or off.
+
+    What to observe is not a parameter: each trial runs under the
+    instruments installed around :meth:`run` (span profiling, metrics,
+    DetSan; see :mod:`repro.instruments`), and what it observed merges
+    back into them and into :attr:`telemetry`.  Observational only —
+    results are bit-identical with any instrument on or off.
     """
 
     def __init__(
@@ -337,7 +352,6 @@ class TrialRunner:
         cache: Optional[ResultCache] = None,
         timeout: Optional[float] = None,
         retries: int = 0,
-        profile: bool = False,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -347,7 +361,6 @@ class TrialRunner:
         self.cache = cache
         self.timeout = timeout
         self.retries = retries
-        self.profile = profile
         #: cumulative telemetry over every :meth:`run` on this runner
         self.telemetry = RunTelemetry(workers=workers)
         #: telemetry of the most recent :meth:`run` only
@@ -365,8 +378,7 @@ class TrialRunner:
         # Cache traffic is a parent-side decomposition fact, so it books
         # straight into the parent's active registry (cached trials never
         # re-run, hence carry no trial-side metrics of their own).
-        registry = active_metrics()
-        metrics_on = registry is not None
+        registry = instruments.active().metrics
 
         pending: List[int] = []
         for index, spec in enumerate(specs):
@@ -388,9 +400,9 @@ class TrialRunner:
         if pending:
             if effective == 1 or not hasattr(os, "fork"):
                 effective = 1
-                messages = self._run_serial(specs, pending, metrics_on)
+                messages = self._run_serial(specs, pending)
             else:
-                messages = self._run_forked(specs, pending, effective, metrics_on)
+                messages = self._run_forked(specs, pending, effective)
             self._collect(specs, pending, messages, outcomes, telemetry)
 
         telemetry.workers = effective
@@ -420,27 +432,15 @@ class TrialRunner:
         return outcomes
 
     # ------------------------------------------------------------------
-    def _execute_one(
-        self, spec: TrialSpec, metrics: bool = False
-    ) -> Dict[str, Any]:
-        return execute_call(
-            spec.fn,
-            spec.kwargs,
-            self.timeout,
-            self.retries,
-            profile=self.profile,
-            metrics=metrics,
-        )
+    def _execute_one(self, spec: TrialSpec) -> Dict[str, Any]:
+        return execute_call(spec.fn, spec.kwargs, self.timeout, self.retries)
 
     def _run_serial(
-        self,
-        specs: Sequence[TrialSpec],
-        pending: Sequence[int],
-        metrics: bool = False,
+        self, specs: Sequence[TrialSpec], pending: Sequence[int]
     ) -> Dict[int, Dict[str, Any]]:
         messages: Dict[int, Dict[str, Any]] = {}
         for index in pending:
-            message = self._execute_one(specs[index], metrics)
+            message = self._execute_one(specs[index])
             # Round-trip through JSON so the serial path is byte-for-byte
             # the parallel path (tuples become lists, floats reparse).
             message = json.loads(json.dumps(message, allow_nan=False))
@@ -453,7 +453,6 @@ class TrialRunner:
         specs: Sequence[TrialSpec],
         pending: Sequence[int],
         workers: int,
-        metrics: bool = False,
     ) -> Dict[int, Dict[str, Any]]:
         shards = [list(pending[w::workers]) for w in range(workers)]
         children: List[Tuple[int, int]] = []  # (pid, read_fd)
@@ -466,7 +465,7 @@ class TrialRunner:
                 # parent's atexit/pytest machinery.
                 status = 0
                 try:
-                    san = active_sanitizer()
+                    san = instruments.active().sanitizer
                     if san is not None:
                         # Drop ledger state inherited from the parent by
                         # fork and re-anchor the fork-state baseline, so
@@ -475,7 +474,7 @@ class TrialRunner:
                     os.close(read_fd)
                     with os.fdopen(write_fd, "wb", buffering=0) as out:
                         for index in shard:
-                            message = self._execute_one(specs[index], metrics)
+                            message = self._execute_one(specs[index])
                             message["worker"] = worker_id
                             message["index"] = index
                             data = json.dumps(message, allow_nan=False).encode(
@@ -532,7 +531,6 @@ class TrialRunner:
         outcomes: List[TrialOutcome],
         telemetry: Optional[RunTelemetry] = None,
     ) -> None:
-        san = active_sanitizer()
         for index in pending:
             spec = specs[index]
             message = messages.get(index)
@@ -543,14 +541,8 @@ class TrialRunner:
                 and message["deadline_skipped"] not in telemetry.warnings
             ):
                 telemetry.warnings.append(message["deadline_skipped"])
-            if (
-                san is not None
-                and message is not None
-                and message.get("sanitizer") is not None
-            ):
-                # Fold worker-side draw-ledger observations (tagged with
-                # the worker's pid) back into the active context.
-                san.absorb(message["sanitizer"])
+            if message is not None and "instruments" in message:
+                _absorb(message["instruments"], telemetry)
             if message is None:
                 # Worker died (crash, OOM kill, os._exit in the trial)
                 # before reporting this trial.
@@ -567,16 +559,6 @@ class TrialRunner:
                 )
                 continue
             if message["ok"]:
-                spans = message.get("spans")
-                if telemetry is not None and spans:
-                    telemetry.add_spans(spans)
-                table = message.get("metrics")
-                if table:
-                    if telemetry is not None:
-                        telemetry.add_metrics(table)
-                    parent = active_metrics()
-                    if parent is not None:
-                        parent.merge_json(table)
                 # "plain" payloads carry no transport tags; skip the
                 # Python-level decode walk (hot for packed segments).
                 outcomes[index] = TrialOutcome(

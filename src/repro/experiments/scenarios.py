@@ -688,7 +688,6 @@ def massive_flow_scenario(
     seed: int = 0,
     runner: Optional[TrialRunner] = None,
     flow_shards: Optional[int] = None,
-    partition: str = "cost",
 ) -> Dict[str, float]:
     """The 10k-node family at flow fidelity, with a hybrid cross-check.
 
@@ -700,10 +699,10 @@ def massive_flow_scenario(
     frame-level replay — the reported gap between the two is the
     fidelity the analytic sampler gives up inside contended windows.
 
-    With ``runner`` (and optionally ``flow_shards`` / ``partition``)
-    both runs shard their window plans across the runner's workers —
-    the returned numbers are bit-identical to the serial path at any
-    worker/shard count (:mod:`repro.flow.shard`).
+    With ``runner`` (and optionally ``flow_shards``) both runs shard
+    their window plans across the runner's workers — the returned
+    numbers are bit-identical to the serial path at any worker/shard
+    count (:mod:`repro.flow.shard`).
     """
     from ..flow import (
         massive_scenario,
@@ -725,7 +724,6 @@ def massive_flow_scenario(
             seed,
             fidelity="flow",
             shards=flow_shards,
-            strategy=partition,
             runner=runner,
         )
         hybrid = simulate_sharded(
@@ -734,7 +732,6 @@ def massive_flow_scenario(
             fidelity="hybrid",
             switch_threshold=switch_threshold,
             shards=flow_shards,
-            strategy=partition,
             runner=runner,
         )
     else:

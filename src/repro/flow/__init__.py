@@ -35,7 +35,6 @@ from .sampler import (
     window_plan,
 )
 from .shard import (
-    PARTITION_STRATEGIES,
     WindowRange,
     merge_range_values,
     partition_plan,
@@ -57,7 +56,6 @@ __all__ = [
     "CalibrationReport",
     "DEFAULT_SWITCH_THRESHOLD",
     "FIDELITY_MODES",
-    "PARTITION_STRATEGIES",
     "FlowResult",
     "FlowScenario",
     "TransactionStream",

@@ -111,16 +111,15 @@ def _sharded_flow_results(
     model: str,
     runner: TrialRunner,
     flow_shards: int,
-    partition: str,
     point: str,
 ) -> List[Dict[str, float]]:
     """Replicate results via sharded window-range trials.
 
     Bit-identical to the serial :func:`_flow_trial` path: replicate
-    seeds derive from the *unchanged* canonical point (shard count and
-    partition strategy never touch seed derivation), and the merged
+    seeds derive from the *unchanged* canonical point (the shard count
+    never touches seed derivation), and the merged
     per-replicate windows equal the serial run's exactly.  The shard
-    parameters enter only the range cache keys
+    count enters only the range cache keys
     (:func:`repro.flow.shard.range_trial_key`), so different
     decompositions never alias in the cache.
     """
@@ -129,7 +128,6 @@ def _sharded_flow_results(
     ranges = partition_plan(
         plan,
         flow_shards,
-        strategy=partition,
         fidelity=fidelity,
         switch_threshold=switch_threshold,
     )
@@ -146,7 +144,6 @@ def _sharded_flow_results(
                     window_range.lo,
                     window_range.hi,
                     shards=flow_shards,
-                    strategy=partition,
                     fidelity=fidelity,
                     switch_threshold=switch_threshold,
                     model=model,
@@ -207,7 +204,6 @@ def replicate_flow(
     model: str = "mixed",
     runner: Optional[TrialRunner] = None,
     flow_shards: Optional[int] = None,
-    partition: str = "cost",
 ) -> Tuple[float, float, List[Dict[str, float]]]:
     """Replicated flow-level collision rate: ``(mean, stdev, results)``.
 
@@ -219,7 +215,7 @@ def replicate_flow(
     differ only in fidelity can never collide in the cache.
 
     With ``flow_shards`` each replicate additionally shards its window
-    plan into that many ranges (``partition`` strategy, see
+    plan into that many cost-balanced ranges (see
     :func:`repro.flow.shard.partition_plan`), fanning the ranges — not
     just the replicates — across the runner's workers.  Results are
     bit-identical either way.
@@ -251,7 +247,6 @@ def replicate_flow(
             model,
             runner,
             flow_shards,
-            partition,
             point,
         )
     else:
@@ -404,17 +399,15 @@ def calibrate(
     model: str = "mixed",
     runner: Optional[TrialRunner] = None,
     flow_shards: Optional[int] = None,
-    partition: str = "cost",
 ) -> CalibrationReport:
     """Run both cores across the grid and report per-point divergence.
 
     The discrete side excludes its first ``warmup`` seconds (early
     transactions see a half-empty world); the flow model is
     steady-state by construction, so the warmup aligns the two
-    estimands rather than hiding disagreement.  ``flow_shards`` /
-    ``partition`` shard each flow replicate's window plan across the
-    runner (see :func:`replicate_flow`); the report is bit-identical
-    either way.
+    estimands rather than hiding disagreement.  ``flow_shards`` shards
+    each flow replicate's window plan across the runner (see
+    :func:`replicate_flow`); the report is bit-identical either way.
     """
     runner = runner if runner is not None else TrialRunner()
     points: List[CalibrationPoint] = []
@@ -432,7 +425,6 @@ def calibrate(
                 model=model,
                 runner=runner,
                 flow_shards=flow_shards,
-                partition=partition,
             )
             discrete_mean, discrete_stdev, _discrete = replicate_collision_rate(
                 id_bits,

@@ -32,19 +32,22 @@ def _write_envelope(
     path: str,
     kind: str,
     payload: Dict[str, Any],
-    spans: Optional[Dict[str, Dict[str, float]]],
     telemetry: Optional[Dict[str, Any]],
 ) -> None:
     """Persist a flow summary the way obs summaries are persisted.
 
     Same envelope machinery (:mod:`repro.experiments.persistence`) and
     the same span-table / layer-breakdown fields, so ``repro obs top``
-    and the bench-trend tooling read flow summaries unchanged.
+    and the bench-trend tooling read flow summaries unchanged.  The
+    spans are the installed profiler's (``--profile``), which the
+    runner's trials have merged into.
     """
     from ..experiments.persistence import save_envelope
-    from ..obs.spans import layer_breakdown
+    from ..obs.spans import active_profiler, layer_breakdown
 
-    if spans:
+    profiler = active_profiler()
+    if profiler:
+        spans = profiler.to_json()
         payload["spans"] = spans
         payload["layer_times"] = {
             layer: round(total, 6)
@@ -55,40 +58,26 @@ def _write_envelope(
     save_envelope(path, kind, payload)
 
 
-def _merged_spans(
-    profiler: Optional[Any], runner: Any
-) -> Optional[Dict[str, Dict[str, float]]]:
-    from ..obs.spans import SpanProfiler
-
-    spans: Dict[str, Dict[str, float]] = {}
-    if profiler is not None:
-        spans = profiler.to_json()
-    if runner is not None and runner.telemetry.spans:
-        merged = SpanProfiler()
-        merged.merge(spans)
-        merged.merge(runner.telemetry.spans)
-        spans = merged.to_json()
-    return spans or None
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     if not args.threshold > 0:
         print(f"flow run: --threshold must be > 0, got {args.threshold}", file=sys.stderr)
         return 2
 
-    from contextlib import nullcontext
-
-    from ..obs.spans import SpanProfiler, profiling
+    from ..obs.spans import SpanProfiler
     from .hybrid import simulate
     from .streams import massive_scenario, scenario_peak_density
 
-    scenario = massive_scenario(
-        n_nodes=args.nodes,
-        id_bits=args.id_bits,
-        horizon=args.horizon,
-        window=args.window,
-        packets_per_node=args.rate,
-    )
+    try:
+        scenario = massive_scenario(
+            n_nodes=args.nodes,
+            id_bits=args.id_bits,
+            horizon=args.horizon,
+            window=args.window,
+            packets_per_node=args.rate,
+        )
+    except ValueError as exc:
+        print(f"flow run: {exc}", file=sys.stderr)
+        return 2
     # Sharded execution engages when the user asks for workers/shards
     # or a trace (traces always go through the shard-and-merge path so
     # serial and parallel runs produce byte-identical files).
@@ -98,48 +87,42 @@ def _cmd_run(args: argparse.Namespace) -> int:
         or args.trace is not None
     )
     runner: Optional[Any] = None
-    profiler: Optional[SpanProfiler] = SpanProfiler() if args.profile else None
     clock = SpanProfiler.clock
     t0 = clock()
-    with profiling(profiler) if profiler is not None else nullcontext():
-        if sharded:
-            from ..exec import TrialRunner
-            from .shard import simulate_sharded, simulate_traced
+    if sharded:
+        from ..exec import TrialRunner
+        from .shard import simulate_sharded, simulate_traced
 
-            runner = TrialRunner(
-                workers=args.flow_workers, profile=args.profile
+        runner = TrialRunner(workers=args.flow_workers)
+        if args.trace:
+            result = simulate_traced(
+                scenario,
+                args.seed,
+                args.trace,
+                fidelity=args.fidelity,
+                switch_threshold=args.threshold,
+                model=args.model,
+                shards=args.flow_shards,
+                runner=runner,
             )
-            if args.trace:
-                result = simulate_traced(
-                    scenario,
-                    args.seed,
-                    args.trace,
-                    fidelity=args.fidelity,
-                    switch_threshold=args.threshold,
-                    model=args.model,
-                    shards=args.flow_shards,
-                    strategy=args.partition,
-                    runner=runner,
-                )
-            else:
-                result = simulate_sharded(
-                    scenario,
-                    args.seed,
-                    fidelity=args.fidelity,
-                    switch_threshold=args.threshold,
-                    model=args.model,
-                    shards=args.flow_shards,
-                    strategy=args.partition,
-                    runner=runner,
-                )
         else:
-            result = simulate(
+            result = simulate_sharded(
                 scenario,
                 args.seed,
                 fidelity=args.fidelity,
                 switch_threshold=args.threshold,
                 model=args.model,
+                shards=args.flow_shards,
+                runner=runner,
             )
+    else:
+        result = simulate(
+            scenario,
+            args.seed,
+            fidelity=args.fidelity,
+            switch_threshold=args.threshold,
+            model=args.model,
+        )
     wall = clock() - t0
     layout = ""
     if sharded:
@@ -177,12 +160,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if sharded:
             payload["flow_workers"] = args.flow_workers
             payload["flow_shards"] = args.flow_shards
-            payload["partition"] = args.partition
         _write_envelope(
             args.summary,
             "flow-summary",
             payload,
-            spans=_merged_spans(profiler, runner),
             telemetry=(
                 runner.telemetry.summary()
                 if runner is not None and runner.telemetry.trials
@@ -194,32 +175,26 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    from contextlib import nullcontext
-
     from ..cli import _finish_exec, _make_runner
-    from ..obs.spans import SpanProfiler, profiling
     from .calibrate import calibrate
 
     runner = _make_runner(args)
-    profiler: Optional[SpanProfiler] = SpanProfiler() if args.profile else None
     try:
-        with profiling(profiler) if profiler is not None else nullcontext():
-            report = calibrate(
-                id_bits_grid=args.id_bits,
-                densities=args.density,
-                trials=args.trials,
-                base_seed=args.seed,
-                horizon=args.horizon,
-                window=args.window,
-                warmup=args.warmup,
-                tolerance=args.tolerance,
-                fidelity=args.fidelity,
-                switch_threshold=args.threshold,
-                model=args.model,
-                runner=runner,
-                flow_shards=args.flow_shards,
-                partition=args.partition,
-            )
+        report = calibrate(
+            id_bits_grid=args.id_bits,
+            densities=args.density,
+            trials=args.trials,
+            base_seed=args.seed,
+            horizon=args.horizon,
+            window=args.window,
+            warmup=args.warmup,
+            tolerance=args.tolerance,
+            fidelity=args.fidelity,
+            switch_threshold=args.threshold,
+            model=args.model,
+            runner=runner,
+            flow_shards=args.flow_shards,
+        )
     except ValueError as exc:
         print(f"flow calibrate: {exc}", file=sys.stderr)
         return 2
@@ -237,7 +212,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
             args.summary,
             "flow-calibration",
             report.to_json(),
-            spans=_merged_spans(profiler, runner),
             telemetry=(
                 runner.telemetry.summary() if runner.telemetry.trials else None
             ),
@@ -253,7 +227,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     from .calibrate import DEFAULT_DENSITIES, DEFAULT_TOLERANCE
     from .hybrid import DEFAULT_SWITCH_THRESHOLD, FIDELITY_MODES
     from .sampler import COLLISION_MODELS
-    from .shard import PARTITION_STRATEGIES
 
     sub = parser.add_subparsers(dest="flow_command", required=True)
 
@@ -261,7 +234,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "run",
         help="run the massive-scenario family at flow/hybrid/frame fidelity",
     )
-    run.add_argument("--nodes", type=int, default=10_000,
+    run.add_argument("--nodes", type=_positive_int, default=10_000,
                      help="nodes in the scenario (default 10000)")
     run.add_argument("--id-bits", type=int, default=10)
     run.add_argument("--horizon", type=float, default=600.0)
@@ -287,10 +260,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     run.add_argument("--flow-shards", type=_positive_int, default=None, metavar="N",
                      help="window ranges to partition the plan into "
                      "(default: one per worker)")
-    run.add_argument("--partition", choices=PARTITION_STRATEGIES,
-                     default="cost",
-                     help="shard partition strategy (cost balances "
-                     "offered load + frame escalations)")
     run.add_argument("--trace", default=None, metavar="PATH",
                      help="export the merged run trace (byte-identical "
                      "at any worker/shard count)")
@@ -332,8 +301,5 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     cal.add_argument("--flow-shards", type=int, default=None, metavar="N",
                      help="shard each flow replicate's window plan "
                      "across the runner (bit-identical results)")
-    cal.add_argument("--partition", choices=PARTITION_STRATEGIES,
-                     default="cost",
-                     help="shard partition strategy")
     _add_exec_flags(cal)
     cal.set_defaults(func=_cmd_calibrate)

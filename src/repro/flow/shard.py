@@ -8,12 +8,11 @@ executed in any process layout, reassembles into exactly the serial
 result.  This module supplies that partition and reassembly:
 
 * :func:`partition_plan` cuts the plan into ``min(shards, windows)``
-  contiguous, non-empty, covering ranges.  The default ``"cost"``
-  strategy balances ranges by a per-window cost model
-  (:func:`window_cost`: expected offered transactions, multiplied by
-  :data:`FRAME_COST_FACTOR` for windows the fidelity mode escalates to
-  frame replay) so one dense burst window does not serialize the run;
-  ``"even"`` splits by window count alone.
+  contiguous, non-empty, covering ranges, balanced by a per-window cost
+  model (:func:`window_cost`: expected offered transactions, multiplied
+  by :data:`FRAME_COST_FACTOR` for windows the fidelity mode escalates
+  to frame replay) so one dense burst window does not serialize the
+  run.
 * :func:`window_range_trial` executes one range through the serial
   run's own window loop (:func:`repro.flow.hybrid.run_windows`) — a
   module-level function with plain-data arguments, so ranges fan out as
@@ -22,7 +21,7 @@ result.  This module supplies that partition and reassembly:
   timeout/retry, worker telemetry all apply).
 * :func:`simulate_sharded` partitions, fans out, and merges — the
   result is bit-identical to :func:`repro.flow.hybrid.simulate` at any
-  ``(workers, shards, strategy)``.  :func:`simulate_traced` adds trace
+  ``(workers, shards)``.  :func:`simulate_traced` adds trace
   export: each range streams its records into its own shard file and
   the shards heap-merge through :mod:`repro.obs.merge` into one trace
   whose bytes are independent of the decomposition.
@@ -32,9 +31,8 @@ run seed *alone* — shard count must never enter seed derivation, or
 sharded and serial runs could not agree bit-for-bit.  Aliasing is
 instead prevented in the cache: a range trial's cache key
 (:func:`range_trial_key`) includes the full scenario, the window range,
-**and** the shard count and partition strategy, so decompositions that
-would disagree about range boundaries never serve each other's cached
-results.  Ranges that export traces are never cached at all — a cache
+**and** the shard count, so decompositions that would disagree about
+range boundaries never serve each other's cached results.  Ranges that export traces are never cached at all — a cache
 hit would skip the side effect and leave a hole in the spool.
 """
 
@@ -43,7 +41,7 @@ from __future__ import annotations
 import pathlib
 import shutil
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from .. import __version__
 from ..exec import ExecError, TrialRunner, TrialSpec, trial_key
@@ -69,7 +67,6 @@ from .streams import FlowScenario
 
 __all__ = [
     "FRAME_COST_FACTOR",
-    "PARTITION_STRATEGIES",
     "WindowRange",
     "merge_range_values",
     "partition_plan",
@@ -81,9 +78,6 @@ __all__ = [
 ]
 
 PathLike = Union[str, pathlib.Path]
-
-#: Supported partition strategies (see :func:`partition_plan`).
-PARTITION_STRATEGIES: Tuple[str, ...] = ("cost", "even")
 
 #: Relative cost of simulating one transaction at frame fidelity vs
 #: drawing it at flow fidelity.  Frame replay generates per-stream
@@ -130,23 +124,20 @@ def window_cost(
 def partition_plan(
     plan: Sequence[WindowSpec],
     shards: int,
-    strategy: str = "cost",
     fidelity: str = "flow",
     switch_threshold: float = DEFAULT_SWITCH_THRESHOLD,
 ) -> List[WindowRange]:
     """Cut ``plan`` into contiguous ranges for ``shards`` workers.
 
     Exactly ``min(shards, len(plan))`` non-empty ranges that cover the
-    plan in order.  ``"even"`` balances window *counts*; ``"cost"``
-    (default) balances summed :func:`window_cost`, cutting each range
-    at the first window where the running cost crosses its proportional
-    share — with a forced cut whenever the remaining windows are only
-    just enough to keep the remaining ranges non-empty.  Both are pure
-    functions of their arguments, so every decomposition of a run is
-    reproducible from ``(scenario, shards, strategy)`` alone.
+    plan in order, balanced by summed :func:`window_cost`: each range
+    is cut at the first window where the running cost crosses its
+    proportional share — with a forced cut whenever the remaining
+    windows are only just enough to keep the remaining ranges
+    non-empty.  A pure function of its arguments, so every
+    decomposition of a run is reproducible from ``(scenario, shards)``
+    alone.
     """
-    if strategy not in PARTITION_STRATEGIES:
-        raise ValueError(f"unknown partition strategy {strategy!r}")
     if shards < 1:
         raise ValueError("shards must be >= 1")
     n = len(plan)
@@ -157,27 +148,21 @@ def partition_plan(
         window_cost(spec, fidelity=fidelity, switch_threshold=switch_threshold)
         for spec in plan
     ]
-    if strategy == "even":
-        # ``i == count`` would give exactly ``n``; writing the final
-        # bound as ``n`` itself keeps the identity and lets the
-        # RANGE001 interval proof see the plan-covering invariant.
-        bounds = [i * n // count for i in range(count)] + [n]
-    else:
-        total = sum(costs)
-        bounds = [0]
-        acc = 0.0
-        for i, cost in enumerate(costs):
-            acc += cost
-            cuts_made = len(bounds) - 1
-            if cuts_made == count - 1:
-                break
-            windows_left = n - (i + 1)
-            ranges_left = count - cuts_made
-            if windows_left == ranges_left - 1:
-                bounds.append(i + 1)
-            elif acc >= total * (cuts_made + 1) / count:
-                bounds.append(i + 1)
-        bounds.append(n)
+    total = sum(costs)
+    bounds = [0]
+    acc = 0.0
+    for i, cost in enumerate(costs):
+        acc += cost
+        cuts_made = len(bounds) - 1
+        if cuts_made == count - 1:
+            break
+        windows_left = n - (i + 1)
+        ranges_left = count - cuts_made
+        if windows_left == ranges_left - 1:
+            bounds.append(i + 1)
+        elif acc >= total * (cuts_made + 1) / count:
+            bounds.append(i + 1)
+    bounds.append(n)
     return [
         WindowRange(lo=lo, hi=hi, cost=sum(costs[lo:hi]))
         for lo, hi in zip(bounds[:-1], bounds[1:])
@@ -247,7 +232,6 @@ def range_trial_key(
     lo: int,
     hi: int,
     shards: int,
-    strategy: str,
     fidelity: str,
     switch_threshold: float,
     model: str,
@@ -255,17 +239,15 @@ def range_trial_key(
     """Cache key of one range trial.
 
     Includes the full scenario, the range, and — deliberately — the
-    shard count and partition strategy that produced the range, so no
-    two decompositions of a run can alias in the cache even where their
-    range boundaries happen to coincide
-    (``tests/test_flow_shard.py`` pins this).
+    shard count that produced the range, so no two decompositions of a
+    run can alias in the cache even where their range boundaries happen
+    to coincide (``tests/test_flow_shard.py`` pins this).
     """
     params = {
         "scenario": scenario,
         "lo": lo,
         "hi": hi,
         "shards": shards,
-        "strategy": strategy,
         "fidelity": fidelity,
         "switch_threshold": switch_threshold,
         "model": model,
@@ -319,7 +301,6 @@ def simulate_sharded(
     switch_threshold: float = DEFAULT_SWITCH_THRESHOLD,
     model: str = "mixed",
     shards: Optional[int] = None,
-    strategy: str = "cost",
     runner: Optional[TrialRunner] = None,
     trace_spool: Optional[PathLike] = None,
 ) -> FlowResult:
@@ -327,7 +308,7 @@ def simulate_sharded(
 
     Bit-identical to :func:`repro.flow.hybrid.simulate` of the same
     ``(scenario, seed, fidelity, switch_threshold, model)`` at every
-    ``(shards, strategy, workers)`` combination — the decomposition is
+    ``(shards, workers)`` combination — the decomposition is
     an execution detail, never part of a result's identity.  ``shards``
     defaults to the runner's worker count.  With ``trace_spool`` each
     range streams its trace shard into the directory as
@@ -347,7 +328,6 @@ def simulate_sharded(
         ranges = partition_plan(
             plan,
             shards,
-            strategy=strategy,
             fidelity=fidelity,
             switch_threshold=switch_threshold,
         )
@@ -378,7 +358,6 @@ def simulate_sharded(
                 window_range.lo,
                 window_range.hi,
                 shards=shards,
-                strategy=strategy,
                 fidelity=fidelity,
                 switch_threshold=switch_threshold,
                 model=model,
@@ -415,9 +394,9 @@ def _trace_meta(
 ) -> Dict[str, Any]:
     """Merged-trace header metadata.
 
-    Run identity only — shard count, worker count and partition
-    strategy are deliberately absent so decompositions of one run
-    produce byte-identical merged traces.
+    Run identity only — shard and worker counts are deliberately
+    absent so decompositions of one run produce byte-identical merged
+    traces.
     """
     return {
         "scenario": "flow",
@@ -440,7 +419,6 @@ def simulate_traced(
     switch_threshold: float = DEFAULT_SWITCH_THRESHOLD,
     model: str = "mixed",
     shards: Optional[int] = None,
-    strategy: str = "cost",
     runner: Optional[TrialRunner] = None,
 ) -> FlowResult:
     """Sharded run plus a merged trace at ``trace_path``.
@@ -463,7 +441,6 @@ def simulate_traced(
             switch_threshold=switch_threshold,
             model=model,
             shards=shards,
-            strategy=strategy,
             runner=runner,
             trace_spool=spool,
         )

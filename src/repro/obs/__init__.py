@@ -8,9 +8,10 @@ without perturbing it:
   paths; per-layer breakdowns feed :class:`repro.exec.telemetry
   .RunTelemetry` and ``bench-trend``.
 * :mod:`.metrics` — deterministic counters / gauges / fixed-bucket
-  histograms with the same activation-slot shape as spans; snapshots
-  are canonical JSONL and merge bit-identically across worker and
-  shard boundaries (``repro metrics {show,export,diff}``).
+  histograms, installed into the same slot as spans
+  (:mod:`repro.instruments`); snapshots are canonical JSONL and merge
+  bit-identically across worker and shard boundaries
+  (``repro metrics {show,export,diff}``).
 * :mod:`.forensics` — per-transaction lifecycle reconstruction from
   exported traces (``repro obs why``).
 * :mod:`.envelope` — a versioned, streaming JSONL envelope for
@@ -29,7 +30,7 @@ a simulated bit (the golden-regression suite runs with it on).
 
 This ``__init__`` deliberately re-exports only :mod:`.spans` and
 :mod:`.metrics`, which import nothing from the rest of the package at
-module scope — the simulation kernel and the exec layer import these
+module scope but the slot — the simulation kernel and the exec layer import these
 names, and pulling in the envelope here would close an import cycle
 through :mod:`repro.exec.runner`.  Import :mod:`repro.obs.envelope`
 and friends explicitly.

@@ -29,58 +29,49 @@ __all__ = ["configure_parser"]
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
-    from contextlib import nullcontext
-
     from ..cli import _finish_exec, _make_runner
 
     from . import record
-    from .spans import SpanProfiler, profiling
+    from .spans import active_profiler
 
     runner = _make_runner(args)
-    profiler: Optional[SpanProfiler] = SpanProfiler() if args.profile else None
     try:
-        with profiling(profiler) if profiler is not None else nullcontext():
-            if args.scenario == "montecarlo":
-                result = record.record_montecarlo(
-                    args.out,
-                    id_bits=args.id_bits,
-                    rate=args.rate,
-                    horizon=args.horizon,
-                    warmup=args.warmup,
-                    mean_duration=args.mean_duration,
-                    fixed_duration=args.fixed_duration,
-                    seed=args.seed,
-                    shards=args.shards,
-                    runner=runner,
-                )
-            else:
-                result = record.record_collision(
-                    args.out,
-                    id_bits=args.id_bits,
-                    n_senders=args.senders,
-                    duration=args.duration,
-                    selector=args.selector,
-                    seed=args.seed,
-                )
+        if args.scenario == "montecarlo":
+            result = record.record_montecarlo(
+                args.out,
+                id_bits=args.id_bits,
+                rate=args.rate,
+                horizon=args.horizon,
+                warmup=args.warmup,
+                mean_duration=args.mean_duration,
+                fixed_duration=args.fixed_duration,
+                seed=args.seed,
+                shards=args.shards,
+                runner=runner,
+            )
+        else:
+            result = record.record_collision(
+                args.out,
+                id_bits=args.id_bits,
+                n_senders=args.senders,
+                duration=args.duration,
+                selector=args.selector,
+                seed=args.seed,
+            )
         summary = record.summarize_trace(args.out)
         print(
             f"recorded {summary['records']} record(s) "
             f"({args.scenario}) into {args.out}"
         )
         if args.summary:
-            spans: Dict[str, Dict[str, float]] = {}
-            if profiler is not None:
-                spans = profiler.to_json()
-            if runner.telemetry.spans:
-                merged = SpanProfiler()
-                merged.merge(spans)
-                merged.merge(runner.telemetry.spans)
-                spans = merged.to_json()
+            # The installed profiler (``--profile``) holds the trials'
+            # spans too: the runner merged them in.
+            profiler = active_profiler()
             record.write_summary(
                 args.summary,
                 args.out,
                 result,
-                spans=spans or None,
+                spans=profiler.to_json() if profiler else None,
                 telemetry=(
                     runner.telemetry.summary() if runner.telemetry.trials else None
                 ),
@@ -238,7 +229,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
                     help="horizon segments; the exported trace is "
                     "byte-identical at any worker count")
     col = rec.add_argument_group("collision scenario")
-    col.add_argument("--senders", type=int, default=5)
+    col.add_argument("--senders", type=_positive_int, default=5)
     col.add_argument("--duration", type=float, default=10.0)
     col.add_argument("--selector", choices=("uniform", "listening", "oracle"),
                      default="uniform")

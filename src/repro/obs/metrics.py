@@ -13,16 +13,17 @@ telemetry:
   bucket counts only — no float sums, so there is no float-ordering
   sensitivity anywhere in the registry.
 
-The activation slot mirrors :mod:`.spans`: :func:`collecting` installs
-a :class:`MetricsRegistry` for the dynamic extent of a run, and the
-module-level :func:`inc` / :func:`gauge_max` / :func:`observe` hooks
-are no-ops when no registry is active, so instrumented hot paths cost
-one global read when metrics are off.
+Activation is the metrics part of the one instrumentation slot
+(:mod:`repro.instruments`), beside :mod:`.spans`: :func:`collecting`
+installs a :class:`MetricsRegistry` for the dynamic extent of a run,
+and the module-level :func:`inc` / :func:`gauge_max` / :func:`observe`
+hooks are no-ops when no registry is active, so instrumented hot paths
+cost one slot read when metrics are off.
 
 Like :mod:`.spans`, this module imports nothing from the rest of the
-package at module scope — the simulation kernel imports it, and the
-envelope/exec layers sit *above* the kernel.  Serialization helpers
-defer their envelope imports to call time.
+package at module scope but the slot — the simulation kernel imports
+it, and the envelope/exec layers sit *above* the kernel.
+Serialization helpers defer their envelope imports to call time.
 
 Snapshots are canonical JSONL (one sorted metric per line between a
 header and a footer, same framing discipline as trace envelopes), so
@@ -46,6 +47,8 @@ from typing import (
     Tuple,
     Union,
 )
+
+from .. import instruments as _slot
 
 __all__ = [
     "MetricsReadError",
@@ -298,14 +301,13 @@ def _decode_edge(edge: Any) -> Number:
     return edge
 
 
-# -- module activation slot (mirrors obs.spans) ------------------------
-
-_ACTIVE: Optional[MetricsRegistry] = None
+# -- activation: the metrics part of the instrumentation slot ----------
 
 
 def active_metrics() -> Optional[MetricsRegistry]:
     """The registry installed by :func:`collecting`, or ``None``."""
-    return _ACTIVE
+    registry: Optional[MetricsRegistry] = _slot.active().metrics
+    return registry
 
 
 @contextmanager
@@ -313,32 +315,30 @@ def collecting(
     registry: Optional[MetricsRegistry] = None,
 ) -> Iterator[MetricsRegistry]:
     """Install ``registry`` (or a fresh one) for the ``with`` body."""
-    global _ACTIVE
     installed = registry if registry is not None else MetricsRegistry()
-    previous = _ACTIVE
-    _ACTIVE = installed
-    try:
+    with _slot.installed(_slot.active()._replace(metrics=installed)):
         yield installed
-    finally:
-        _ACTIVE = previous
 
 
 def inc(name: str, amount: int = 1) -> None:
     """Count into the active registry; no-op when metrics are off."""
-    if _ACTIVE is not None:
-        _ACTIVE.inc(name, amount)
+    registry = _slot.active().metrics
+    if registry is not None:
+        registry.inc(name, amount)
 
 
 def gauge_max(name: str, value: int) -> None:
     """High-watermark into the active registry; no-op when off."""
-    if _ACTIVE is not None:
-        _ACTIVE.gauge_max(name, value)
+    registry = _slot.active().metrics
+    if registry is not None:
+        registry.gauge_max(name, value)
 
 
 def observe(name: str, value: Number, edges: Sequence[Number]) -> None:
     """Histogram-observe into the active registry; no-op when off."""
-    if _ACTIVE is not None:
-        _ACTIVE.observe(name, value, edges)
+    registry = _slot.active().metrics
+    if registry is not None:
+        registry.observe(name, value, edges)
 
 
 # -- snapshots ---------------------------------------------------------

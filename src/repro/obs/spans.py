@@ -15,19 +15,21 @@ and ``bench-trend`` carry.  Names must be string literals at the call
 site (lint rule OBS001) so summaries from different runs stay
 field-comparable.
 
-Activation is a module-level slot: :func:`profiling` installs a
-profiler for a ``with`` block, instrumented code asks
-:func:`active_profiler` (usually once, at construction) and skips all
-timing when it returns None.  Forked workers each build a fresh
-profiler inside :func:`repro.exec.runner.execute_call`; the span tables
-travel back in the result message and merge in the parent — wall time
-is the one thing allowed to differ between runs, so span *aggregates*
-(unlike traces) need no deterministic ordering, only deterministic
-naming.
+Activation is the profiler part of the one instrumentation slot
+(:mod:`repro.instruments`): :func:`profiling` installs a profiler for a
+``with`` block (``repro ... --profile`` installs one around the whole
+command), instrumented code asks :func:`active_profiler` (usually once,
+at construction) and skips all timing when it returns None.  When a
+profiler is installed, every trial of a :class:`repro.exec.TrialRunner`
+runs under a fresh one inside :func:`repro.exec.runner.execute_call`;
+the span tables travel back in the result message and merge into the
+installed profiler — wall time is the one thing allowed to differ
+between runs, so span *aggregates* (unlike traces) need no
+deterministic ordering, only deterministic naming.
 
-This module deliberately imports nothing from the rest of the package
-(stdlib only): the simulation kernel imports it, so it must sit at the
-very bottom of the layering.
+This module imports nothing from the rest of the package but the slot
+(stdlib only otherwise): the simulation kernel imports it, so it must
+sit at the very bottom of the layering.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
+
+from .. import instruments as _slot
 
 __all__ = [
     "LAYER_BUCKETS",
@@ -189,31 +193,24 @@ def layer_breakdown(spans: Dict[str, Dict[str, float]]) -> Dict[str, float]:
 # ----------------------------------------------------------------------
 # The active profiler
 # ----------------------------------------------------------------------
-_ACTIVE: Optional[SpanProfiler] = None
-
-
 def active_profiler() -> Optional[SpanProfiler]:
     """The currently installed profiler, or None when profiling is off."""
-    return _ACTIVE
+    profiler: Optional[SpanProfiler] = _slot.active().profiler
+    return profiler
 
 
 @contextmanager
 def profiling(profiler: Optional[SpanProfiler] = None) -> Iterator[SpanProfiler]:
     """Install ``profiler`` (a fresh one by default) for the block."""
-    global _ACTIVE
     prof = profiler if profiler is not None else SpanProfiler()
-    previous = _ACTIVE
-    _ACTIVE = prof
-    try:
+    with _slot.installed(_slot.active()._replace(profiler=prof)):
         yield prof
-    finally:
-        _ACTIVE = previous
 
 
 @contextmanager
 def span(name: str) -> Iterator[None]:
     """Time a ``with`` block on the active profiler; no-op when off."""
-    prof = _ACTIVE
+    prof = _slot.active().profiler
     if prof is None:
         yield
         return

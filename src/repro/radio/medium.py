@@ -25,8 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..obs.metrics import active_metrics
-from ..obs.spans import active_profiler
+from .. import instruments
 from ..sim.engine import Simulator
 from ..sim.rng import fallback_stream
 from ..sim.trace import NullRecorder, TraceRecorder
@@ -116,11 +115,12 @@ class BroadcastMedium:
         # longer one still corrupts the longer frame at resolution time.
         self._recent: List[Transmission] = []
         self.stats = MediumStats()
-        # Observational-only span profiling, bound at construction.
-        self._profiler = active_profiler()
-        # Deterministic counters (frames on the air, per-receiver fates);
-        # same construction-time binding, one None-check when off.
-        self._metrics = active_metrics()
+        # Instruments, bound once at construction: observational-only
+        # span profiling, and deterministic counters (frames on the
+        # air, per-receiver fates), one None-check each when off.
+        installed = instruments.active()
+        self._profiler = installed.profiler
+        self._metrics = installed.metrics
 
     # ------------------------------------------------------------------
     # Attachment

@@ -36,9 +36,8 @@ import heapq
 import itertools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..analysis.sanitizer.runtime import active_sanitizer
-from ..obs.metrics import active_metrics
-from ..obs.spans import active_profiler, layer_of_module
+from .. import instruments
+from ..obs.spans import layer_of_module
 
 __all__ = [
     "EventHandle",
@@ -104,18 +103,20 @@ class Simulator:
         self._seq = itertools.count()
         self._running = False
         self._events_processed = 0
-        # Span profiling is bound at construction (observational only:
-        # nothing in the dispatch path reads the measurements).  When no
-        # profiler is active the run loop pays one None-check per event.
-        self._profiler = active_profiler()
+        # Instruments are bound once, at construction.  Span profiling
+        # is observational only (nothing in the dispatch path reads the
+        # measurements); when no profiler is active the run loop pays
+        # one None-check per event.
+        installed = instruments.active()
+        self._profiler = installed.profiler
         self._span_names: Dict[str, str] = {}
-        # The determinism sanitizer is likewise bound at construction;
-        # when inactive, scheduling pays one None-check per event.
-        self._sanitizer = active_sanitizer()
-        # Deterministic metrics, same binding discipline: counts are
-        # simulated facts (events fired, queue high-watermark), so they
-        # are bit-identical run to run — unlike the profiler's times.
-        self._metrics = active_metrics()
+        # The determinism sanitizer: when inactive, scheduling pays one
+        # None-check per event.
+        self._sanitizer = installed.sanitizer
+        # Deterministic metrics: counts are simulated facts (events
+        # fired, queue high-watermark), so they are bit-identical run
+        # to run — unlike the profiler's times.
+        self._metrics = installed.metrics
 
     # ------------------------------------------------------------------
     # Clock

@@ -168,7 +168,7 @@ class TestMonteCarloCommand:
 
 
 class TestCountsBelowOne:
-    """Worker and shard counts under 1 are usage errors, before any work."""
+    """Counts under 1 are usage errors, before any work."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -177,8 +177,21 @@ class TestCountsBelowOne:
             ["montecarlo", "--shards", "0"],
             ["obs", "record", "--scenario", "montecarlo", "--shards", "0",
              "--out", "unused.jsonl"],
+            ["montecarlo", "--trials", "0"],
+            ["figure", "4", "--trials", "0"],
+            ["sweep", "--trials", "0"],
+            ["validate", "--trials", "0"],
+            ["report", "--trials", "0", "--output", "unused-report"],
+            ["flow", "run", "--nodes", "0"],
+            ["obs", "record", "--scenario", "collision", "--senders", "0",
+             "--out", "unused.jsonl"],
         ],
-        ids=["workers", "montecarlo-shards", "obs-record-shards"],
+        ids=[
+            "workers", "montecarlo-shards", "obs-record-shards",
+            "montecarlo-trials", "figure-trials", "sweep-trials",
+            "validate-trials", "report-trials",
+            "flow-run-nodes", "obs-record-senders",
+        ],
     )
     def test_exit_two(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -266,3 +279,57 @@ class TestBenchTrendCommand:
         ]) == 0
         assert not (results / "TREND.jsonl").exists()
         assert "no benchmark history" in capsys.readouterr().out
+
+
+def _span_counts(path):
+    """``{span: count}`` of a ``--summary`` envelope's span table."""
+    import json
+
+    spans = json.loads(path.read_text())["payload"]["spans"]
+    return {name: stats["count"] for name, stats in spans.items()}
+
+
+class TestProfileFlag:
+    """``--profile`` is installed once, around the whole command."""
+
+    FLOW_RUN = [
+        "flow", "run", "--nodes", "10000", "--fidelity", "hybrid",
+        "--threshold", "70", "--horizon", "120", "--seed", "3", "--profile",
+    ]
+
+    def test_flow_run_serial_books_windows(self, tmp_path):
+        summary = tmp_path / "serial.json"
+        assert main(self.FLOW_RUN + ["--summary", str(summary)]) == 0
+        assert _span_counts(summary) == {"flow.sample": 10, "flow.frame": 2}
+
+    def test_flow_run_sharded_adds_exec_and_shard_spans(self, tmp_path):
+        summary = tmp_path / "sharded.json"
+        argv = self.FLOW_RUN + [
+            "--flow-workers", "2", "--flow-shards", "3", "--summary", str(summary)
+        ]
+        assert main(argv) == 0
+        assert _span_counts(summary) == {
+            "flow.sample": 10,
+            "flow.frame": 2,
+            "exec.trial": 3,
+            "flow.partition": 1,
+            "flow.merge": 1,
+        }
+
+    def test_obs_record_summary_holds_worker_spans(self, tmp_path):
+        summary = tmp_path / "summary.json"
+        argv = [
+            "obs", "record", "--scenario", "montecarlo", "--shards", "2",
+            "--workers", "2", "--horizon", "20", "--profile",
+            "--out", str(tmp_path / "trace.jsonl"), "--summary", str(summary),
+        ]
+        assert main(argv) == 0
+        counts = _span_counts(summary)
+        assert counts["core.sample"] == 2  # one per forked segment
+        assert counts["exec.trial"] == 2
+
+    def test_profiler_is_uninstalled_afterwards(self, tmp_path):
+        from repro.obs.spans import active_profiler
+
+        assert main(self.FLOW_RUN + ["--horizon", "20"]) == 0
+        assert active_profiler() is None

@@ -285,3 +285,61 @@ class TestDeadlineDegradation:
         outcomes = runner.run([TrialSpec(fn=lambda: 1.0, kwargs={})])
         assert outcomes[0].ok
         assert runner.last_telemetry.warnings == []
+
+
+def counted_trial(seed):
+    """Books one span and one counter into whatever is installed."""
+    from repro.obs.metrics import inc
+    from repro.obs.spans import span
+
+    with span("core.sample"):
+        inc("core.draws", seed)
+    return float(seed)
+
+
+class TestInstruments:
+    """Trials run under what the parent installed, and merge back into it."""
+
+    SPECS = [TrialSpec(fn=counted_trial, kwargs={"seed": s}) for s in (1, 2, 3)]
+
+    def test_nothing_installed_ships_nothing(self):
+        from repro.exec.runner import execute_call
+
+        message = execute_call(counted_trial, {"seed": 1}, None, 0)
+        assert message["ok"]
+        assert "instruments" not in message
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_parts_merge_into_installed_and_telemetry(self, workers):
+        from repro.obs.metrics import collecting
+        from repro.obs.spans import profiling
+
+        runner = TrialRunner(workers=workers)
+        with profiling() as profiler, collecting() as registry:
+            outcomes = runner.run(self.SPECS)
+        assert [o.value for o in outcomes] == [1.0, 2.0, 3.0]
+        spans = profiler.to_json()
+        assert spans["core.sample"]["count"] == 3
+        assert spans["exec.trial"]["count"] == 3
+        assert runner.telemetry.spans["exec.trial"]["count"] == 3
+        assert registry.counter("core.draws") == 6
+        assert registry.counter("exec.trials") == 3
+        assert runner.telemetry.metrics["core.draws"]["value"] == 6
+
+    def test_failed_attempt_counts_never_leak(self, tmp_path):
+        from repro.obs.metrics import collecting
+
+        marker = tmp_path / "failed-once"
+
+        def flaky():
+            counted_trial(5)
+            if not marker.exists():
+                marker.write_text("x")
+                raise RuntimeError("first attempt")
+            return 1.0
+
+        with collecting() as registry:
+            (outcome,) = TrialRunner(retries=1).run([TrialSpec(fn=flaky, kwargs={})])
+        assert outcome.ok and outcome.attempts == 2
+        assert registry.counter("core.draws") == 5
+        assert registry.counter("exec.retries") == 1

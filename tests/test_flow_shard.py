@@ -1,8 +1,7 @@
 """Sharded flow execution: partition properties, bit-identity, caching.
 
 The contract under test (``repro.flow.shard``): the decomposition of a
-run — worker count, shard count, partition strategy — is an execution
-detail.  Results and exported traces are bit-identical to the serial
+run — worker count and shard count — is an execution detail.  Results and exported traces are bit-identical to the serial
 path at every combination, and different decompositions never alias in
 the result cache.
 """
@@ -16,7 +15,6 @@ from repro.exec.cache import ResultCache
 from repro.flow.hybrid import simulate
 from repro.flow.sampler import window_plan
 from repro.flow.shard import (
-    PARTITION_STRATEGIES,
     merge_range_values,
     partition_plan,
     range_trial_key,
@@ -35,11 +33,12 @@ SEED = 11
 
 
 class TestPartitionPlan:
-    @pytest.mark.parametrize("strategy", PARTITION_STRATEGIES)
-    @pytest.mark.parametrize("shards", [1, 2, 4, 7, 100])
-    def test_cover_contiguous_nonempty(self, strategy, shards):
+    @pytest.mark.parametrize(
+        "shards", [1, 2, 4, 7, 100], ids=lambda shards: f"{shards}-cost"
+    )
+    def test_cover_contiguous_nonempty(self, shards):
         plan = window_plan(SCENARIO)
-        ranges = partition_plan(plan, shards, strategy=strategy)
+        ranges = partition_plan(plan, shards)
         assert len(ranges) == min(shards, len(plan))
         assert ranges[0].lo == 0
         assert ranges[-1].hi == len(plan)
@@ -48,19 +47,18 @@ class TestPartitionPlan:
         assert all(r.windows > 0 for r in ranges)
 
     def test_cost_strategy_balances_burst(self):
-        # The burst windows dominate the cost; the cost strategy must
+        # The burst windows dominate the cost; the cost balance must
         # not leave one shard with the burst plus half the plan.
         plan = window_plan(SCENARIO)
-        ranges = partition_plan(plan, 4, strategy="cost")
+        ranges = partition_plan(plan, 4)
         costs = [r.cost for r in ranges]
         assert max(costs) / (sum(costs) / len(costs)) < 2.0
 
     def test_frame_escalation_raises_cost(self):
         plan = window_plan(SCENARIO)
-        flow = partition_plan(plan, 3, strategy="cost", fidelity="flow")
+        flow = partition_plan(plan, 3, fidelity="flow")
         hybrid = partition_plan(
-            plan, 3, strategy="cost", fidelity="hybrid",
-            switch_threshold=THRESHOLD,
+            plan, 3, fidelity="hybrid", switch_threshold=THRESHOLD
         )
         assert sum(r.cost for r in hybrid) > sum(r.cost for r in flow)
 
@@ -68,18 +66,17 @@ class TestPartitionPlan:
         plan = window_plan(SCENARIO)
         with pytest.raises(ValueError):
             partition_plan(plan, 0)
-        with pytest.raises(ValueError):
-            partition_plan(plan, 2, strategy="random")
 
     def test_empty_plan(self):
         assert partition_plan([], 4) == []
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("strategy", PARTITION_STRATEGIES)
-    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "workers", [1, 2, 4], ids=lambda workers: f"{workers}-cost"
+    )
     @pytest.mark.parametrize("fidelity", ["flow", "hybrid"])
-    def test_sharded_equals_serial(self, strategy, workers, fidelity):
+    def test_sharded_equals_serial(self, workers, fidelity):
         serial = simulate(
             SCENARIO, SEED, fidelity=fidelity, switch_threshold=THRESHOLD
         )
@@ -91,7 +88,6 @@ class TestBitIdentity:
             fidelity=fidelity,
             switch_threshold=THRESHOLD,
             shards=workers * 2,
-            strategy=strategy,
             runner=TrialRunner(workers=workers),
         )
         assert sharded == serial
@@ -165,11 +161,14 @@ class TestTraceIdentity:
 class TestCacheDiscipline:
     def test_no_aliasing_between_decompositions(self):
         scenario = figure4_scenario(10, 5.0, horizon=100.0)
+        plan = window_plan(scenario)
+        # The plan has 4 windows, so 4 and 5 shards cut identically;
+        # the key material still must not collide because the shard
+        # count is part of it.
+        assert partition_plan(plan, 4) == partition_plan(plan, 5)
         keys = set()
-        for shards, strategy in ((2, "cost"), (2, "even"), (4, "cost")):
-            for window_range in partition_plan(
-                window_plan(scenario), shards, strategy=strategy
-            ):
+        for shards in (2, 4, 5):
+            for window_range in partition_plan(plan, shards):
                 keys.add(
                     range_trial_key(
                         scenario,
@@ -177,15 +176,12 @@ class TestCacheDiscipline:
                         window_range.lo,
                         window_range.hi,
                         shards=shards,
-                        strategy=strategy,
                         fidelity="flow",
                         switch_threshold=THRESHOLD,
                         model="mixed",
                     )
                 )
-        # cost/even at 2 shards may cut identically; the key material
-        # still must not collide because the strategy is part of it.
-        assert len(keys) == 2 + 2 + 4
+        assert len(keys) == 2 + 4 + 4
 
     def test_cached_rerun_hits_and_agrees(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -222,7 +218,7 @@ class TestCalibrateSharding:
         from repro.flow.calibrate import replicate_flow
 
         serial = replicate_flow(10, 5.0, trials=2, horizon=100.0)
-        for shards, strategy, workers in ((3, "cost", 2), (2, "even", 1)):
+        for shards, workers in ((3, 2), (2, 1)):
             sharded = replicate_flow(
                 10,
                 5.0,
@@ -230,7 +226,6 @@ class TestCalibrateSharding:
                 horizon=100.0,
                 runner=TrialRunner(workers=workers),
                 flow_shards=shards,
-                partition=strategy,
             )
             assert sharded == serial
 
@@ -273,6 +268,18 @@ class TestConfigRejected:
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert "must be at least 1" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["0", "-1", "21"])
+    def test_cli_bad_window_exits_two(self, value, capsys):
+        from repro.cli import main
+
+        code = main(
+            ["flow", "run", "--nodes", "200", "--horizon", "20", "--window", value]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "flow run: window must be in (0, horizon]\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("value", ["0", "-2", "nan"])

@@ -2,7 +2,7 @@
 
 The load-bearing property is bit-identity: a run's metrics snapshot is
 a pure function of the scenario and seed, never of the execution layout
-(serial vs sharded, worker count, partition strategy).
+(serial vs sharded, worker count, shard count).
 """
 
 import json
@@ -200,9 +200,10 @@ def _serial_snapshot(tmp_path, scenario):
 
 
 class TestShardedParity:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("strategy", ["cost", "even"])
-    def test_sharded_snapshot_matches_serial(self, tmp_path, workers, strategy):
+    @pytest.mark.parametrize(
+        "workers", [1, 2, 4], ids=lambda workers: f"cost-{workers}"
+    )
+    def test_sharded_snapshot_matches_serial(self, tmp_path, workers):
         scenario = _scenario()
         serial_result, serial_path = _serial_snapshot(tmp_path, scenario)
 
@@ -210,10 +211,9 @@ class TestShardedParity:
         with collecting(registry):
             sharded_result = simulate_sharded(
                 scenario, seed=7, fidelity="hybrid", switch_threshold=4.0,
-                shards=3, strategy=strategy,
-                runner=TrialRunner(workers=workers),
+                shards=3, runner=TrialRunner(workers=workers),
             )
-        sharded_path = tmp_path / f"sharded-{workers}-{strategy}.jsonl"
+        sharded_path = tmp_path / f"sharded-{workers}.jsonl"
         write_snapshot(sharded_path, registry)
 
         assert sharded_result == serial_result
@@ -237,7 +237,7 @@ class TestShardedParity:
             with collecting(registry):
                 simulate_sharded(
                     scenario, seed=7, fidelity="hybrid",
-                    switch_threshold=4.0, shards=3, strategy="cost",
+                    switch_threshold=4.0, shards=3,
                     runner=TrialRunner(workers=workers),
                 )
             path = tmp_path / f"w{workers}.jsonl"

@@ -19,6 +19,7 @@ from repro.exec import TrialRunner, TrialSpec
 from repro.obs.envelope import read_trace, write_trace
 from repro.obs.merge import collect_shards, merge_shards
 from repro.obs.record import record_montecarlo
+from repro.obs.spans import profiling
 from repro.sim.trace import TraceRecord
 
 SCENARIO = dict(id_bits=6, rate=5.0, horizon=40.0, seed=3, shards=2)
@@ -56,13 +57,16 @@ class TestPooledTraceIdentity:
         serial = tmp_path / "serial.jsonl"
         serial_result = record_montecarlo(serial, **SCENARIO)
         forked = tmp_path / "forked.jsonl"
-        runner = TrialRunner(workers=2, profile=True)
-        forked_result = record_montecarlo(forked, runner=runner, **SCENARIO)
+        runner = TrialRunner(workers=2)
+        with profiling() as profiler:
+            forked_result = record_montecarlo(forked, runner=runner, **SCENARIO)
         assert runner.telemetry.workers == 2  # both segments ran in forks
         assert forked_result == serial_result
         assert forked.read_bytes() == serial.read_bytes()
-        # Profiling crossed the worker pipes without touching the trace.
+        # Profiling crossed the worker pipes without touching the trace,
+        # into telemetry and the installed profiler alike.
         assert "exec.trial" in runner.telemetry.spans
+        assert profiler.to_json()["exec.trial"]["count"] == 2
         assert main(["obs", "diff", str(serial), str(forked)]) == 0
 
     def test_perturbed_trace_diff_exits_nonzero(self, tmp_path, capsys):
