@@ -4,8 +4,7 @@ Not a paper figure — these time the building blocks so performance
 regressions in the simulator or codec are caught: event-queue rate,
 fragmentation/reassembly throughput, selector draw rate, the analytic
 model's sweep speed, and the Monte Carlo single-trial path (fast event
-core vs the pre-optimisation implementation, plus horizon-shard
-scaling).  The Monte Carlo benchmark publishes ``micro_throughput``
+core vs the pre-optimisation implementation).  The Monte Carlo benchmark publishes ``micro_throughput``
 (→ ``micro_throughput.txt`` + ``BENCH_micro_throughput.json``), which
 ``python -m repro bench-trend`` tracks across runs.
 """
@@ -119,7 +118,7 @@ def test_model_sweep_rate(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Monte Carlo single-trial throughput: fast event core + horizon shards
+# Monte Carlo single-trial throughput: fast event core vs baseline
 # ----------------------------------------------------------------------
 # Baseline: a frozen replica of the Monte Carlo path as it stood before
 # the fast event core landed — dict-backed field-equality Transaction,
@@ -256,7 +255,6 @@ _MC_ID_BITS = 10
 _MC_RATE = 12.0
 _MC_HORIZON = 2000.0
 _MC_SEED = 9
-_MC_SHARDS = 4
 
 
 def _best_of(fn, repeats=3):
@@ -273,22 +271,16 @@ def _best_of(fn, repeats=3):
 
 
 def test_montecarlo_trial_throughput(benchmark, publish):
-    """Fast event core vs the pre-change baseline, plus shard scaling.
+    """Fast event core vs the pre-change baseline.
 
-    Three measurements on one long-horizon trial (~24k transactions):
+    Two measurements on one long-horizon trial (~24k transactions):
 
     * the frozen pre-optimisation implementation above;
     * the current fast event core (also timed by pytest-benchmark, so
       its mean feeds ``bench-trend``) — asserted bit-identical to the
-      baseline;
-    * the sharded path at ``shards=4`` with ``workers=1``, giving
-      honest isolated per-segment walls on any machine; the projected
-      speedup is the critical path ``serial / (slowest segment +
-      stitch overhead)``, i.e. what ``shards`` workers achieve when
-      each segment really gets its own core.
+      baseline.
     """
     from repro.core.montecarlo import ExponentialDuration, simulate_collision_rate
-    from repro.exec import TrialRunner
 
     sampler = ExponentialDuration(1.0)
 
@@ -308,37 +300,6 @@ def test_montecarlo_trial_throughput(benchmark, publish):
     assert fast_result == seed_result, "fast core must be bit-identical"
     speedup = seed_wall / fast_wall
 
-    def run_sharded():
-        runner = TrialRunner(workers=1)
-        r = simulate_collision_rate(
-            _MC_ID_BITS,
-            _MC_RATE,
-            sampler,
-            horizon=_MC_HORIZON,
-            seed=_MC_SEED,
-            shards=_MC_SHARDS,
-            runner=runner,
-        )
-        return (r.transactions, r.collision_rate, r.measured_density), runner
-
-    best_sharded = float("inf")
-    segs: Dict[str, float] = {}
-    sharded_result = None
-    for _ in range(3):
-        t0 = _time.perf_counter()
-        result, runner = run_sharded()
-        wall = _time.perf_counter() - t0
-        if sharded_result is None:
-            sharded_result = result
-        assert result == sharded_result, "sharded result must be deterministic"
-        if wall < best_sharded:
-            best_sharded = wall
-            segs = runner.last_telemetry.shard_timings()
-
-    seg_walls = sorted(segs.values())
-    overhead = best_sharded - sum(seg_walls)
-    projected = fast_wall / (max(seg_walls) + overhead)
-
     # timing stream for bench-trend: the fast core, measured properly
     bench_result = benchmark(run_fast)
     assert bench_result == seed_result
@@ -350,11 +311,6 @@ def test_montecarlo_trial_throughput(benchmark, publish):
         f"  pre-change baseline : {seed_wall * 1000:8.1f} ms",
         f"  fast event core     : {fast_wall * 1000:8.1f} ms  "
         f"({speedup:.2f}x, bit-identical)",
-        f"  shards={_MC_SHARDS} (workers=1): {best_sharded * 1000:8.1f} ms wall, "
-        f"segments {[round(s * 1000, 1) for s in seg_walls]} ms, "
-        f"stitch overhead {overhead * 1000:.1f} ms",
-        f"  projected speedup at {_MC_SHARDS} cores: {projected:.2f}x "
-        "(serial / (slowest segment + overhead))",
     ]
     publish(
         "micro_throughput",
@@ -365,14 +321,6 @@ def test_montecarlo_trial_throughput(benchmark, publish):
             "seed_wall": seed_wall,
             "fast_wall": fast_wall,
             "fast_core_speedup": speedup,
-            "sharded_wall": best_sharded,
-            "shard_segment_walls": seg_walls,
-            "shard_overhead": overhead,
-            "projected_shard_speedup": projected,
-            "shards": _MC_SHARDS,
         },
     )
     assert speedup >= 1.3, f"fast core speedup {speedup:.2f}x below the 1.3x floor"
-    assert projected >= 2.5, (
-        f"projected shard speedup {projected:.2f}x below the 2.5x floor"
-    )

@@ -35,7 +35,7 @@ __all__ = ["FlowSamplingRngRule"]
 #: Calls whose result is a trial/window-derived seed (mirrors the
 #: SEED001 derive family).
 _DERIVE_CALLS = frozenset(
-    {"derive_seed", "segment_seed", "derive_trial_seed", "fallback_stream"}
+    {"derive_seed", "derive_trial_seed", "fallback_stream"}
 )
 
 

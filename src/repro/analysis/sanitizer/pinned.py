@@ -56,12 +56,12 @@ def _run_collision(trace: pathlib.Path) -> Dict[str, Any]:
 
 
 def _run_montecarlo(trace: pathlib.Path, fixed_duration: bool = False) -> Dict[str, Any]:
-    """A sharded Monte Carlo run — exercises the fork + merge pipeline."""
+    """A Monte Carlo run with its merged begin/end and collision trace."""
     from ...obs.record import record_montecarlo
 
     return record_montecarlo(
         trace, id_bits=6, rate=5.0, horizon=40.0, mean_duration=1.0,
-        fixed_duration=fixed_duration, seed=0, shards=2,
+        fixed_duration=fixed_duration, seed=0,
     )
 
 

@@ -3,7 +3,7 @@
 The determinism contract of the exec subsystem is that every random
 draw in a trial traces back to the trial's own seed: either a ``seed``
 parameter threaded in by the runner, or a stream derived from one via
-``derive_seed``/``segment_seed``/``derive_trial_seed``.  An RNG seeded
+``derive_seed``/``derive_trial_seed``.  An RNG seeded
 from anything else (a constant, an unrelated local, nothing at all)
 reproduces across *processes* but not across *trials* — results stop
 being a pure function of ``(fn, params, seed)``, which is exactly the
@@ -53,7 +53,7 @@ SEED_NAME_RE = re.compile(r"(?:^|_)seeds?(?:$|_)")
 
 #: Calls whose result is a trial-derived seed (or derived stream).
 _DERIVE_CALLS = frozenset(
-    {"derive_seed", "segment_seed", "derive_trial_seed", "fallback_stream"}
+    {"derive_seed", "derive_trial_seed", "fallback_stream"}
 )
 
 #: Drawing a child seed from an existing (already seeded) stream.
@@ -92,7 +92,7 @@ class SeedTaintRule(ProjectRule):
     rule_id = "SEED001"
     description = (
         "random.Random/RngRegistry seeded with a value not derived from "
-        "a trial-seed source (seed parameter, derive_seed/segment_seed, "
+        "a trial-seed source (seed parameter, derive_seed/derive_trial_seed, "
         "or a draw from an existing stream)"
     )
     help_anchor = "pack-4--seed-provenance-seed"
@@ -126,7 +126,7 @@ class SeedTaintRule(ProjectRule):
                     module.ctx.display_path,
                     call,
                     f"{kind} seeded with a value that is not derived from a "
-                    "trial seed; route it through derive_seed/segment_seed or "
+                    "trial seed; route it through derive_seed/derive_trial_seed or "
                     "a seed parameter",
                 )
         for child in _child_scopes(scope):

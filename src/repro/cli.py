@@ -24,6 +24,7 @@ Worker count and cache state never change the computed numbers; see
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import ExitStack
 from typing import Optional, Sequence
@@ -47,6 +48,25 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _number(text: str) -> float:
+    """Argparse type: a float that is not NaN (a usage error, exit 2, otherwise)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError("must be a number, got nan")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """Argparse type: a finite number > 0 (a usage error, exit 2, otherwise)."""
+    value = _number(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return value
 
 
@@ -308,13 +328,11 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
         horizon=args.horizon,
         warmup=args.warmup,
         runner=runner,
-        shards=args.shards,
     )
     density = args.rate * args.mean_duration
     table = Table(
         f"Monte Carlo: H={args.id_bits} bits, lambda={args.rate}/s, "
-        f"horizon={args.horizon:.0f}s x {args.trials} trial(s), "
-        f"shards={args.shards}",
+        f"horizon={args.horizon:.0f}s x {args.trials} trial(s)",
         ["quantity", "value"],
     )
     table.add_row("model P(collision), T=lambda*d", float(
@@ -453,23 +471,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     mc = sub.add_parser(
         "montecarlo",
-        help="ground-truth collision trial (optionally horizon-sharded)",
+        help="ground-truth collision trials, replicated across --workers",
     )
     mc.add_argument("--id-bits", type=int, default=8)
-    mc.add_argument("--rate", type=float, default=5.0,
+    mc.add_argument("--rate", type=_positive_float, default=5.0,
                     help="Poisson arrival rate (transactions/second)")
-    mc.add_argument("--horizon", type=float, default=1000.0)
-    mc.add_argument("--warmup", type=float, default=0.0)
-    mc.add_argument("--mean-duration", type=float, default=1.0)
+    mc.add_argument("--horizon", type=_positive_float, default=1000.0)
+    mc.add_argument("--warmup", type=_number, default=0.0)
+    mc.add_argument("--mean-duration", type=_positive_float, default=1.0)
     mc.add_argument("--fixed-duration", action="store_true",
                     help="constant durations (paper's same-length case) "
                     "instead of exponential")
     mc.add_argument("--trials", type=_positive_int, default=2)
     mc.add_argument("--seed", type=int, default=0)
-    mc.add_argument("--shards", type=_positive_int, default=1,
-                    help="split each trial's horizon into this many "
-                    "derived-seed time segments (results depend on "
-                    "(seed, shards) only; see docs/parallel.md)")
     _add_exec_flags(mc)
     mc.set_defaults(func=_cmd_montecarlo)
 

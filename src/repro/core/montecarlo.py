@@ -8,28 +8,19 @@ the paper's model uses ("unique with respect to all other transactions
 mixed-duration extension (:func:`repro.core.model.p_success_mixed`)
 against brute-force truth.
 
-Two execution strategies share one event core, the batch kernels
-:func:`_collision_flags` and :func:`_measured_density`.  Every arrival
-has a fresh owner and a full-mesh audience, so whether a transaction
-collides depends only on the start and end times of the transactions
-sharing its identifier; the kernels compute every flag and the
-time-weighted density with a few NumPy sorts and scans instead of one
-:class:`~repro.core.transactions.TransactionLog` entry per arrival.
-
-* ``shards=1`` (default) generates the whole horizon in-process and runs
-  the kernels once.  It is bit-for-bit identical to the historical
-  build-list/double/sort pipeline (kept as
-  :func:`_simulate_collision_rate_reference` for equivalence tests and
-  benchmarking).
-* ``shards=N`` splits ``[0, horizon)`` into ``N`` time segments, each
-  generating arrivals from an independent stream seeded with
-  ``derive_seed(seed, f"segment:{i}")`` and flagging locally; the
-  parent then stitches segment boundaries by matching every carried
-  (boundary-crossing) transaction against the prefix of later segments'
-  arrivals that begin while it is open, so cross-boundary collisions are
-  counted exactly once.  Results are a
-  pure function of ``(seed, shards)``; segments fan out across a
-  :class:`repro.exec.TrialRunner`'s workers when one is passed.
+A trial generates the whole horizon in one process and runs the batch
+kernels :func:`_collision_flags` and :func:`_measured_density` once.
+Every arrival has a fresh owner and a full-mesh audience, so whether a
+transaction collides depends only on the start and end times of the
+transactions sharing its identifier; the kernels compute every flag and
+the time-weighted density with a few NumPy sorts and scans instead of
+one :class:`~repro.core.transactions.TransactionLog` entry per arrival.
+The result is bit-for-bit identical to the historical
+build-list/double/sort pipeline (kept as
+:func:`_simulate_collision_rate_reference` for equivalence tests and
+benchmarking).  Parallelism comes from replicates:
+:func:`replicate_collision_rate` fans seeded trials out across a
+:class:`repro.exec.TrialRunner`'s workers.
 
 Arrivals with a :class:`FixedDuration` and every identifier are drawn
 in bulk (:func:`_poisson_times`, :func:`_draw_identifiers`) through
@@ -38,18 +29,14 @@ in bulk (:func:`_poisson_times`, :func:`_draw_identifiers`) through
 loops, here, so DetSan books each draw at this module's call sites.
 Samplers that draw (:class:`ExponentialDuration`, lambdas) interleave
 their draws with the gaps and keep the per-draw loop.
-
-See ``docs/parallel.md`` for the sharding determinism contract.
 """
 
 from __future__ import annotations
 
-import base64
 import math
-import pathlib
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -356,18 +343,18 @@ def _simulate_collision_rate_reference(
 # ----------------------------------------------------------------------
 # Trace export (observational; see repro.obs)
 # ----------------------------------------------------------------------
-def _segment_records(
+def _transaction_records(
     starts: Sequence[float],
     durations: Sequence[float],
     identifiers: Sequence[int],
-    segment: int,
 ) -> Iterator[TraceRecord]:
-    """One segment's ``txn.begin`` / ``txn.end`` records, in event order.
+    """The run's ``txn.begin`` / ``txn.end`` records, in event order.
 
     Events sort by ``(time, kind)`` with ends before same-time begins —
     the historical reference pipeline's stable sort — so the exported
-    stream is a pure function of the segment's arrivals, independent of
-    which worker (or how many) computed it.
+    stream is a pure function of the run's arrivals.  Every record
+    carries ``"segment": 0``, a constant of the trace format:
+    ``repro obs why`` addresses transactions as ``segment:owner``.
     """
     events: List[Tuple[float, int, int]] = []
     for seq in range(len(starts)):
@@ -379,338 +366,50 @@ def _segment_records(
             yield TraceRecord(
                 when,
                 "txn.begin",
-                {"segment": segment, "owner": seq, "id": identifiers[seq]},
+                {"segment": 0, "owner": seq, "id": identifiers[seq]},
             )
         else:
-            yield TraceRecord(
-                when, "txn.end", {"segment": segment, "owner": seq}
-            )
+            yield TraceRecord(when, "txn.end", {"segment": 0, "owner": seq})
 
 
-def _collision_records(segments: Iterable[tuple]) -> Iterator[TraceRecord]:
-    """``txn.collision`` records for each ``(starts, identifiers, flagged)`` segment.
-
-    Emitted from the parent's post-stitch flag sets (local flags plus
-    cross-boundary ones), in (segment, index) order — which is also
-    time order, since segment windows and within-segment starts both
-    ascend.
-    """
-    for index, (starts, identifiers, flagged) in enumerate(segments):
-        for k in sorted(flagged):
-            yield TraceRecord(
-                float(starts[k]),
-                "txn.collision",
-                {"segment": index, "owner": k, "id": int(identifiers[k])},
-            )
+def _collision_records(
+    starts: np.ndarray, identifiers: np.ndarray, flags: np.ndarray
+) -> Iterator[TraceRecord]:
+    """One ``txn.collision`` record per flagged arrival, in arrival order."""
+    for k in np.flatnonzero(flags).tolist():
+        yield TraceRecord(
+            float(starts[k]),
+            "txn.collision",
+            {"segment": 0, "owner": k, "id": int(identifiers[k])},
+        )
 
 
-def _write_merged_trace(
-    spool: pathlib.Path,
-    streams: Sequence[object],
+def _write_trace(
+    path: str,
+    starts: np.ndarray,
+    durations: np.ndarray,
+    identifiers: np.ndarray,
+    flags: np.ndarray,
     meta: Dict[str, object],
 ) -> None:
-    """Merge record streams into ``<spool>/trace.jsonl``.
+    """Export the run's transaction stream as a versioned trace at ``path``.
 
-    The merged order is keyed ``(time, stream rank, position)`` — see
-    :mod:`repro.obs.merge` — so the bytes depend only on the streams'
-    contents, never on worker scheduling.  Meta deliberately excludes
-    worker configuration: traces from a serial and a multi-worker run
-    of the same scenario must be byte-identical, header included.
+    Begin/end and collision records interleave in ``(time, stream rank,
+    position)`` order (see :mod:`repro.obs.merge`), so the bytes are a
+    pure function of the run.
     """
     from ..obs.envelope import TraceWriter
     from ..obs.merge import merge_streams
 
-    with TraceWriter(spool / "trace.jsonl", meta=meta) as writer:
+    streams = [
+        _transaction_records(
+            starts.tolist(), durations.tolist(), identifiers.tolist()
+        ),
+        _collision_records(starts, identifiers, flags),
+    ]
+    with TraceWriter(path, meta=meta) as writer:
         for record in merge_streams(streams):  # type: ignore[arg-type]
             writer.write(record)
-
-
-def _trace_meta(
-    id_bits: int,
-    arrival_rate: float,
-    duration_sampler: DurationSampler,
-    horizon: float,
-    warmup: float,
-    seed: Optional[int],
-    shards: int,
-) -> Dict[str, object]:
-    return {
-        "scenario": "montecarlo",
-        "id_bits": id_bits,
-        "arrival_rate": arrival_rate,
-        "duration_sampler": repr(duration_sampler),
-        "horizon": horizon,
-        "warmup": warmup,
-        "seed": seed,
-        "shards": shards,
-    }
-
-
-# ----------------------------------------------------------------------
-# Horizon sharding
-# ----------------------------------------------------------------------
-def _pack(values: np.ndarray) -> str:
-    """Exact, compact transport form of an array (base64 of its bytes).
-
-    Segments return tens of thousands of timestamps; packing them as
-    one string keeps the canonical-JSON transport but makes its cost
-    per-array instead of per-element, and IEEE doubles round-trip
-    bit-exactly.
-    """
-    return base64.b64encode(values.tobytes()).decode("ascii")
-
-
-def _unpack(blob: str, dtype: str, count: int) -> np.ndarray:
-    """The first ``count`` values of a packed array, decoding only those."""
-    size = np.dtype(dtype).itemsize * count
-    return np.frombuffer(base64.b64decode(blob[: -(-size // 3) * 4])[:size], dtype=dtype)
-
-
-def _id_dtype(id_bits: int) -> str:
-    """Packed identifier width: every byte shipped is JSON-encoded twice."""
-    return "<u2" if id_bits <= 16 else "<u8"
-
-
-def _head(segment: Dict[str, object], until: float, id_dtype: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Starts and identifiers of a packed segment's arrivals before ``until``.
-
-    Decodes a growing prefix of the start times until it reaches
-    ``until``.  The stitch and the warmup cut need only the arrivals
-    near a segment's lower cut, so the parent never decodes the bulk of
-    a segment.
-    """
-    n = int(segment["n"])  # type: ignore[call-overload]
-    count = 48
-    while True:
-        starts = _unpack(str(segment["starts"]), "<f8", min(count, n))
-        if len(starts) == n or starts[-1] >= until:
-            break
-        count *= 4
-    starts = starts[: np.searchsorted(starts, until)]
-    return starts, _unpack(str(segment["identifiers"]), id_dtype, len(starts))
-
-
-def _segment_bounds(horizon: float, shards: int, index: int) -> Tuple[float, float]:
-    """Segment ``index``'s half-open time window ``[lo, hi)``."""
-    return (horizon * index) / shards, (horizon * (index + 1)) / shards
-
-
-def _montecarlo_segment(
-    id_bits: int,
-    arrival_rate: float,
-    duration_sampler: DurationSampler,
-    horizon: float,
-    shards: int,
-    index: int,
-    seed: int,
-    trace_path: Optional[str] = None,
-) -> Dict[str, object]:
-    """Generate and locally replay one horizon segment.
-
-    Runs from its own derived stream (``derive_seed(seed,
-    f"segment:{index}")``, derived by the caller), so segments are
-    independent of each other and of how many workers computed them.
-    Returns a JSON-transportable summary: packed start times and
-    identifiers, the indices flagged by the *local* replay, the
-    boundary-crossing tail, and density aggregates.  Cross-segment
-    collisions are the parent's stitching job.
-
-    With ``trace_path`` the segment also streams its begin/end records
-    into a trace shard there (see :mod:`repro.obs.envelope`) —
-    observational only, and written by whichever process computes the
-    segment.
-    """
-    rng = random.Random(seed)
-    lo, hi = _segment_bounds(horizon, shards, index)
-    space = IdentifierSpace(id_bits)
-    with span("core.sample"):
-        begin, lengths = _generate_arrivals(
-            arrival_rate, duration_sampler, rng, lo, hi
-        )
-        ident = _draw_identifiers(space, rng, len(begin))
-    with span("core.replay"):
-        flagged = np.flatnonzero(_collision_flags(begin, lengths, ident)).tolist()
-    end = begin + lengths
-    starts = begin.tolist()
-    identifiers = ident.tolist()
-    if trace_path is not None:
-        from ..obs.envelope import write_trace
-
-        write_trace(
-            trace_path,
-            _segment_records(starts, lengths.tolist(), identifiers, index),
-            meta={"segment": index, "shards": shards},
-        )
-    # Everything O(n) that the parent would otherwise do per segment is
-    # done here, where segments run in parallel: the boundary-crossing
-    # tail scan and the density aggregates.  Only the (small) tails and
-    # the packed arrays the stitch scan needs travel back.
-    ends = end.tolist()
-    tails = [
-        [ends[seq], identifiers[seq], seq]
-        for seq in np.flatnonzero(end > hi).tolist()
-    ]
-    return {
-        "n": len(starts),
-        "starts": _pack(np.asarray(begin, dtype="<f8")),
-        "identifiers": _pack(ident.astype(_id_dtype(id_bits))),
-        "flagged": flagged,
-        "tails": tails,
-        "sum_duration": sum(ends) - sum(starts),
-        "max_end": max(ends) if ends else 0.0,
-    }
-
-
-def _stitch_segments(segments: List[Dict[str, object]], cuts: Sequence[float], id_dtype: str) -> None:
-    """Flag cross-boundary collisions, mutating segment ``flagged`` sets.
-
-    The boundary-stitch rule: every transaction still open at a cut is
-    *carried* into later segments; a carried transaction and a later
-    arrival collide iff they share an identifier and the carry is still
-    open when the arrival begins (``carry.end > arrival.start`` — an
-    end at exactly the begin's timestamp does not contend, matching the
-    replay's tie rule).  Both parties are flagged; flags are sets, so a
-    transaction already flagged by its local replay is counted exactly
-    once.  Owner checks are unnecessary: every transaction has a fresh
-    owner, so cross-segment pairs are always distinct nodes.
-
-    Exact by construction: an overlapping pair either begins in the
-    same segment (caught by that segment's local replay) or spans the
-    cut between their segments (so the earlier one is in the carry set
-    when the later one begins).
-    """
-    live: List[tuple] = []  # (end, identifier, segment, index)
-    for seg_index, segment in enumerate(segments):
-        if live:
-            until = max(carry[0] for carry in live)
-            starts, identifiers = _head(segment, until, id_dtype)
-        for end, ident, carry_seg, carry_idx in live:
-            # Arrivals that begin while the carry is open: a prefix.
-            opened = np.searchsorted(starts, end)
-            hits = np.flatnonzero(identifiers[:opened] == ident)
-            if hits.size:
-                segments[carry_seg]["flagged"].add(carry_idx)  # type: ignore[union-attr]
-                segment["flagged"].update(hits.tolist())  # type: ignore[union-attr]
-        if seg_index + 1 < len(segments):
-            next_cut = cuts[seg_index + 1]
-            live = [carry for carry in live if carry[0] > next_cut]
-            # The segment pre-computed its own boundary-crossing tail
-            # (``end > its upper cut``), so extending the carry set is
-            # O(tail), not O(segment).
-            for end, ident, k in segment["tails"]:  # type: ignore[union-attr]
-                live.append((end, ident, seg_index, k))
-
-
-def _simulate_sharded(
-    id_bits: int,
-    arrival_rate: float,
-    duration_sampler: DurationSampler,
-    horizon: float,
-    warmup: float,
-    seed: int,
-    shards: int,
-    runner,
-    trace_spool: Optional[str] = None,
-) -> MonteCarloResult:
-    """Sharded trial: fan segments out, stitch boundaries, aggregate."""
-    from ..exec import ExecError, TrialRunner, TrialSpec
-    from ..exec.keys import segment_seed
-
-    runner = runner if runner is not None else TrialRunner()
-    spool: Optional[pathlib.Path] = None
-    if trace_spool is not None:
-        spool = pathlib.Path(trace_spool)
-        spool.mkdir(parents=True, exist_ok=True)
-    specs = []
-    for index in range(shards):
-        kwargs = dict(
-            id_bits=id_bits,
-            arrival_rate=arrival_rate,
-            duration_sampler=duration_sampler,
-            horizon=horizon,
-            shards=shards,
-            index=index,
-            seed=segment_seed(seed, index),
-        )
-        if spool is not None:
-            kwargs["trace_path"] = str(spool / f"segment-{index:04d}.jsonl")
-        specs.append(
-            TrialSpec(
-                fn=_montecarlo_segment,
-                kwargs=kwargs,
-                label=f"segment:{index}",
-            )
-        )
-    outcomes = runner.run(specs)
-    failed = [o.failure for o in outcomes if not o.ok]
-    if failed:
-        raise ExecError(
-            f"sharded trial lost {len(failed)}/{shards} segments; "
-            f"first: {failed[0].render() if failed[0] else 'unknown'}"
-        )
-    segments = [
-        dict(outcome.value, flagged=set(outcome.value["flagged"]))
-        for outcome in outcomes
-    ]
-    cuts = [(horizon * index) / shards for index in range(shards + 1)]
-    id_dtype = _id_dtype(id_bits)
-    _stitch_segments(segments, cuts, id_dtype)
-    if spool is not None:
-        from ..obs.envelope import read_trace
-
-        streams: List[object] = [
-            read_trace(spool / f"segment-{index:04d}.jsonl")
-            for index in range(shards)
-        ]
-        streams.append(
-            _collision_records(
-                [(*_head(s, math.inf, id_dtype), s["flagged"]) for s in segments]
-            )
-        )
-        _write_merged_trace(
-            spool,
-            streams,
-            _trace_meta(
-                id_bits,
-                arrival_rate,
-                duration_sampler,
-                horizon,
-                warmup,
-                seed,
-                shards,
-            ),
-        )
-
-    # Aggregate from the segments' pre-computed sums/maxima — a Python
-    # per-transaction loop here would eat the latency the sharding just
-    # saved, and even C-level re-sums would redo work the workers
-    # already did in parallel.
-    tracked = 0
-    collided = 0
-    duration_sum = 0.0
-    last_time = 0.0
-    for segment in segments:
-        flagged = segment["flagged"]
-        if not segment["n"]:
-            continue
-        duration_sum += segment["sum_duration"]  # type: ignore[operator]
-        last_time = max(last_time, segment["max_end"])  # type: ignore[type-var]
-        first = len(_head(segment, warmup, id_dtype)[0]) if warmup > 0 else 0
-        tracked += segment["n"] - first  # type: ignore[operator]
-        if first == 0:
-            collided += len(flagged)  # type: ignore[arg-type]
-        else:
-            collided += sum(1 for k in flagged if k >= first)  # type: ignore[union-attr]
-    density = duration_sum / last_time if last_time > 0 else 0.0
-    if not tracked:
-        return MonteCarloResult(
-            transactions=0, collision_rate=float("nan"), measured_density=density
-        )
-    return MonteCarloResult(
-        transactions=tracked,
-        collision_rate=collided / tracked,
-        measured_density=density,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -733,10 +432,8 @@ def simulate_collision_rate(
     horizon: float = 1000.0,
     rng: Optional[random.Random] = None,
     warmup: float = 0.0,
-    shards: int = 1,
     seed: Optional[int] = None,
-    runner=None,
-    trace_spool: Optional[str] = None,
+    trace_path: Optional[str] = None,
 ) -> MonteCarloResult:
     """Ground-truth collision rate under Poisson arrivals.
 
@@ -753,56 +450,23 @@ def simulate_collision_rate(
         / a bimodal sampler for the mixed-length extension.
     horizon:
         Simulated seconds of arrivals.
+    rng, seed:
+        The stream to draw from: ``rng`` if given, else
+        ``random.Random(seed)``.
     warmup:
         Transactions starting before this time are excluded from the
         rate (edge effects: early transactions see a half-empty world).
-    shards:
-        Time segments to split the horizon into.  ``1`` replays the
-        whole horizon from ``rng`` (or ``random.Random(seed)``),
-        bit-identically to every release since the sampler existed.
-        ``shards > 1`` requires ``seed`` (per-segment streams are
-        derived from it; passing ``rng`` is an error because a shared
-        stream cannot be split) and produces results that are a pure
-        function of ``(seed, shards)``.
-    runner:
-        Optional :class:`repro.exec.TrialRunner`; with ``shards > 1``
-        segments fan out across its workers.  Worker count never
-        changes the result.
-    trace_spool:
-        Optional directory; when given, the run exports its transaction
-        stream as a versioned trace at ``<trace_spool>/trace.jsonl``
-        (plus per-segment shards when sharded) — see :mod:`repro.obs`.
+    trace_path:
+        Optional file; when given, the run exports its transaction
+        stream there as a versioned trace — see :mod:`repro.obs`.
         Observational only: the returned result is bit-identical with
-        tracing on or off, and the trace bytes are a pure function of
-        ``(seed, shards)``, never of worker count.
+        tracing on or off.
 
     Each transaction gets a fresh owner id, so same-owner reuse (which
     the ground-truth log exempts) never occurs — matching the model's
     assumption of distinct contending nodes.
     """
     _check_run(arrival_rate, horizon, warmup)
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    if shards > 1:
-        if rng is not None:
-            raise ValueError(
-                "pass seed=..., not rng=, when shards > 1: per-segment "
-                "streams are derived from the seed"
-            )
-        if seed is None:
-            raise ValueError("shards > 1 requires seed=")
-        return _simulate_sharded(
-            id_bits,
-            arrival_rate,
-            duration_sampler,
-            horizon,
-            warmup,
-            seed,
-            shards,
-            runner,
-            trace_spool=trace_spool,
-        )
-
     if rng is None:
         rng = random.Random(seed) if seed is not None else fallback_stream(
             "core.montecarlo"
@@ -817,23 +481,19 @@ def simulate_collision_rate(
         flags = _collision_flags(starts, durations, identifiers)
         density = _measured_density(starts, durations)
 
-    if trace_spool is not None:
-        spool = pathlib.Path(trace_spool)
-        spool.mkdir(parents=True, exist_ok=True)
-        _write_merged_trace(
-            spool,
-            [
-                _segment_records(
-                    starts.tolist(), durations.tolist(), identifiers.tolist(), 0
-                ),
-                _collision_records(
-                    [(starts, identifiers, np.flatnonzero(flags).tolist())]
-                ),
-            ],
-            _trace_meta(
-                id_bits, arrival_rate, duration_sampler, horizon, warmup, seed, 1
-            ),
-        )
+    if trace_path is not None:
+        # ``"shards": 1`` is a constant of the trace format.
+        meta: Dict[str, object] = {
+            "scenario": "montecarlo",
+            "id_bits": id_bits,
+            "arrival_rate": arrival_rate,
+            "duration_sampler": repr(duration_sampler),
+            "horizon": horizon,
+            "warmup": warmup,
+            "seed": seed,
+            "shards": 1,
+        }
+        _write_trace(trace_path, starts, durations, identifiers, flags, meta)
 
     # Arrivals are time-ordered, so the warmup cut is a prefix.
     first = int(np.searchsorted(starts, warmup))
@@ -856,7 +516,6 @@ def _montecarlo_trial(
     horizon: float,
     warmup: float,
     seed: int,
-    shards: int = 1,
 ) -> dict:
     """One seeded Monte Carlo replicate, as a JSON-safe dict."""
     result = simulate_collision_rate(
@@ -866,7 +525,6 @@ def _montecarlo_trial(
         horizon=horizon,
         warmup=warmup,
         seed=seed,
-        shards=shards,
     )
     return {
         "transactions": result.transactions,
@@ -884,7 +542,6 @@ def replicate_collision_rate(
     horizon: float = 1000.0,
     warmup: float = 0.0,
     runner=None,
-    shards: int = 1,
 ) -> Tuple[float, float, List[MonteCarloResult]]:
     """Replicated Monte Carlo: ``(mean, stddev, results)`` over seeds.
 
@@ -896,12 +553,6 @@ def replicate_collision_rate(
     :func:`repro.experiments.results.aggregate_trials`.  Failed
     replicates are dropped too; if *every* replicate fails, the first
     failure is raised as :class:`repro.exec.ExecError`.
-
-    ``shards`` splits each replicate's horizon into derived-seed time
-    segments (see :func:`simulate_collision_rate`).  It is folded into
-    the canonical point — and therefore into derived seeds and cache
-    keys — only when it differs from 1, so ``shards=1`` replays are
-    bit-identical to runs recorded before sharding existed.
     """
     from .. import __version__
     from ..exec import (
@@ -916,8 +567,6 @@ def replicate_collision_rate(
     if trials < 1:
         raise ValueError("need at least one trial")
     _check_run(arrival_rate, horizon, warmup)
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
     runner = runner if runner is not None else TrialRunner()
     point_params = {
         "id_bits": id_bits,
@@ -926,8 +575,6 @@ def replicate_collision_rate(
         "horizon": horizon,
         "warmup": warmup,
     }
-    if shards != 1:
-        point_params["shards"] = shards
     point = canonical_point(point_params)
     specs = []
     for k in range(trials):
@@ -950,7 +597,6 @@ def replicate_collision_rate(
                     horizon=horizon,
                     warmup=warmup,
                     seed=seed,
-                    shards=shards,
                 ),
                 label=f"montecarlo#{k}",
                 cache_key=key,

@@ -24,7 +24,6 @@ from .keys import (
     canonical_point,
     canonical_value,
     derive_trial_seed,
-    segment_seed,
     trial_key,
 )
 from .runner import (
@@ -51,6 +50,5 @@ __all__ = [
     "canonical_point",
     "canonical_value",
     "derive_trial_seed",
-    "segment_seed",
     "trial_key",
 ]

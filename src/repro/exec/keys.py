@@ -32,7 +32,6 @@ __all__ = [
     "canonical_point",
     "canonical_value",
     "derive_trial_seed",
-    "segment_seed",
     "trial_key",
 ]
 
@@ -89,17 +88,6 @@ def derive_trial_seed(base_seed: int, point: str, k: int) -> int:
     two distinct pairs can alias the way the additive convention did.
     """
     return derive_seed(base_seed, f"trial:{point}:{k}")
-
-
-def segment_seed(seed: int, index: int) -> int:
-    """Seed of horizon segment ``index`` within a sharded trial.
-
-    ``derive_seed(seed, f"segment:{index}")`` — each time segment of a
-    sharded Monte Carlo trial draws from its own derived stream, so the
-    segment set (and hence the trial) is a pure function of ``(seed,
-    shards)`` regardless of which worker computes which segment.
-    """
-    return derive_seed(seed, f"segment:{index}")
 
 
 def function_name(fn: Any) -> str:

@@ -202,8 +202,8 @@ def execute_call(
     over its pipe — so the serial path and the per-run fork path share
     one code path from here up.  ``plain`` marks values whose
     encoded form contains no transport tags, letting the parent skip
-    the Python-level decode walk (a real cost when a sharded trial
-    ships hundreds of kilobytes of packed segment data).
+    the Python-level decode walk (a real cost when a trial ships
+    hundreds of kilobytes of results).
 
     Each attempt runs under the installed instruments
     (:mod:`repro.instruments`), with a fresh profiler and registry in
@@ -560,7 +560,7 @@ class TrialRunner:
                 continue
             if message["ok"]:
                 # "plain" payloads carry no transport tags; skip the
-                # Python-level decode walk (hot for packed segments).
+                # Python-level decode walk (hot for large results).
                 outcomes[index] = TrialOutcome(
                     value=(
                         message["value"]

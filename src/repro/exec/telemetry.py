@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
 from ..obs.metrics import MetricsRegistry
-from ..obs.spans import layer_breakdown
+from ..obs.spans import SpanProfiler, layer_breakdown
 
 __all__ = ["RunTelemetry", "TrialRecord"]
 
@@ -96,24 +96,15 @@ class RunTelemetry:
             )
 
     def add_spans(self, spans: Dict[str, Dict[str, float]]) -> None:
-        """Fold a trial's span table (from a profiled message) in."""
-        for name, stats in spans.items():
-            count = float(stats.get("count", 0.0))
-            if count <= 0:
-                continue
-            into = self.spans.get(name)
-            if into is None:
-                self.spans[name] = dict(stats)
-                continue
-            prior = float(into.get("count", 0.0))
-            into["count"] = prior + count
-            into["total"] = float(into.get("total", 0.0)) + float(
-                stats.get("total", 0.0)
-            )
-            if prior <= 0 or float(stats["min"]) < float(into["min"]):
-                into["min"] = float(stats["min"])
-            if prior <= 0 or float(stats["max"]) > float(into["max"]):
-                into["max"] = float(stats["max"])
+        """Fold a trial's span table (from a profiled message) in.
+
+        Routed through :class:`~repro.obs.spans.SpanProfiler` so counts
+        stay integers and min/max follow the profiler's merge rules.
+        """
+        profiler = SpanProfiler()
+        profiler.merge(self.spans)
+        profiler.merge(spans)
+        self.spans = profiler.to_json()
 
     def add_metrics(self, table: Dict[str, Dict[str, Any]]) -> None:
         """Fold a trial's metric table (from a worker message) in.
@@ -127,20 +118,6 @@ class RunTelemetry:
             registry.merge_json(self.metrics)
         registry.merge_json(table)
         self.metrics = registry.to_json()
-
-    def shard_timings(self) -> Dict[str, float]:
-        """Per-segment wall times of a sharded trial, keyed by label.
-
-        Horizon-sharded Monte Carlo trials label their segment specs
-        ``segment:<index>`` (see :mod:`repro.core.montecarlo`); this
-        pulls those records out so callers can see where a sharded
-        trial's critical path is.
-        """
-        return {
-            record.label: record.duration
-            for record in self.records
-            if record.label.startswith("segment:") and not record.cached
-        }
 
     def worker_utilization(self) -> Dict[int, float]:
         """Fraction of the run's wall time each worker spent computing."""
@@ -196,10 +173,6 @@ class RunTelemetry:
             "worker_tasks": {
                 str(worker): tasks
                 for worker, tasks in sorted(self.worker_tasks.items())
-            },
-            "shard_timings": {
-                label: round(value, 6)
-                for label, value in self.shard_timings().items()
             },
         }
         if self.spans:

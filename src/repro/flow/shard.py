@@ -427,12 +427,14 @@ def simulate_traced(
     through :func:`repro.obs.merge.merge_shards`, and the spool is
     removed; the merged bytes are a pure function of the run identity,
     so ``repro obs diff`` across worker/shard counts is the end-to-end
-    bit-identity gate.
+    bit-identity gate.  A spool left behind by a killed run is cleared
+    first, so none of its shards reach the merge.
     """
     target = pathlib.Path(trace_path)
     target.parent.mkdir(parents=True, exist_ok=True)
     spool = target.with_name(target.name + ".spool")
-    spool.mkdir(parents=True, exist_ok=True)
+    shutil.rmtree(spool, ignore_errors=True)
+    spool.mkdir()
     try:
         result = simulate_sharded(
             scenario,

@@ -16,7 +16,7 @@ without perturbing it:
   exported traces (``repro obs why``).
 * :mod:`.envelope` — a versioned, streaming JSONL envelope for
   :class:`repro.sim.trace.TraceRecord` streams.
-* :mod:`.merge` — heap-merge of per-worker/per-segment trace shards
+* :mod:`.merge` — heap-merge of per-worker/per-range trace shards
   into one deterministically ordered stream.
 * :mod:`.diff` — field-by-field comparison of two traces; the
   mechanical check that ``shards=N``/``--workers N`` runs are bit-identical

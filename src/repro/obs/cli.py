@@ -2,10 +2,9 @@
 
 ::
 
-    repro obs record --scenario montecarlo --shards 2 --out trace.jsonl
-    repro obs record --scenario montecarlo --shards 2 --workers 2 \\
-        --out forked.jsonl
-    repro obs diff trace.jsonl forked.jsonl       # exit 0: bit-identical
+    repro obs record --scenario montecarlo --seed 3 --out trace.jsonl
+    repro obs record --scenario montecarlo --seed 3 --out again.jsonl
+    repro obs diff trace.jsonl again.jsonl        # exit 0: bit-identical
     repro obs summary trace.jsonl
     repro obs top --summary SUMMARY.json -n 10
 
@@ -34,6 +33,8 @@ def _cmd_record(args: argparse.Namespace) -> int:
     from . import record
     from .spans import active_profiler
 
+    # Both scenarios run in this process; the runner only carries the
+    # shared execution flags (``--telemetry``).
     runner = _make_runner(args)
     try:
         if args.scenario == "montecarlo":
@@ -46,8 +47,6 @@ def _cmd_record(args: argparse.Namespace) -> int:
                 mean_duration=args.mean_duration,
                 fixed_duration=args.fixed_duration,
                 seed=args.seed,
-                shards=args.shards,
-                runner=runner,
             )
         else:
             result = record.record_collision(
@@ -64,17 +63,12 @@ def _cmd_record(args: argparse.Namespace) -> int:
             f"({args.scenario}) into {args.out}"
         )
         if args.summary:
-            # The installed profiler (``--profile``) holds the trials'
-            # spans too: the runner merged them in.
             profiler = active_profiler()
             record.write_summary(
                 args.summary,
                 args.out,
                 result,
                 spans=profiler.to_json() if profiler else None,
-                telemetry=(
-                    runner.telemetry.summary() if runner.telemetry.trials else None
-                ),
             )
             print(f"wrote {args.summary}")
     finally:
@@ -201,7 +195,7 @@ def _cmd_why(args: argparse.Namespace) -> int:
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
     """Attach the ``obs`` sub-subcommands to the given subparser."""
-    from ..cli import _add_exec_flags, _positive_int
+    from ..cli import _add_exec_flags, _number, _positive_float, _positive_int
 
     sub = parser.add_subparsers(dest="obs_command", required=True)
 
@@ -219,15 +213,12 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     rec.add_argument("--id-bits", type=int, default=8)
     rec.add_argument("--seed", type=int, default=0)
     mc = rec.add_argument_group("montecarlo scenario")
-    mc.add_argument("--rate", type=float, default=5.0,
+    mc.add_argument("--rate", type=_positive_float, default=5.0,
                     help="Poisson arrival rate (transactions/second)")
-    mc.add_argument("--horizon", type=float, default=100.0)
-    mc.add_argument("--warmup", type=float, default=0.0)
-    mc.add_argument("--mean-duration", type=float, default=1.0)
+    mc.add_argument("--horizon", type=_positive_float, default=100.0)
+    mc.add_argument("--warmup", type=_number, default=0.0)
+    mc.add_argument("--mean-duration", type=_positive_float, default=1.0)
     mc.add_argument("--fixed-duration", action="store_true")
-    mc.add_argument("--shards", type=_positive_int, default=1,
-                    help="horizon segments; the exported trace is "
-                    "byte-identical at any worker count")
     col = rec.add_argument_group("collision scenario")
     col.add_argument("--senders", type=_positive_int, default=5)
     col.add_argument("--duration", type=float, default=10.0)

@@ -1,6 +1,6 @@
 """Merge per-worker trace shards into one ordered stream.
 
-Forked workers (and sharded-horizon segments) each stream their records
+Forked workers (one per flow window range) each stream their records
 into their own shard file; the parent folds the shards into a single
 trace with :func:`heapq.merge` — the same k-way heap-merge shape as the
 fast event core — so the merge is streaming too and never holds more
@@ -9,7 +9,7 @@ than one record per shard in memory.
 Ordering must be total and independent of worker scheduling for the
 merged trace to be byte-identical to a serial export.  Records are
 keyed ``(time, shard_rank, position)``: shard rank is the shard's index
-in the sorted shard list (which encodes segment order in its file
+in the sorted shard list (which encodes range order in its file
 names), position the record's index within its shard.  Equal-time
 records therefore keep shard-major, then FIFO, order — exactly the
 order a serial run emits them in.

@@ -4,13 +4,9 @@ Two recordable scenarios:
 
 * ``montecarlo`` — the ground-truth collision sampler
   (:func:`repro.core.montecarlo.simulate_collision_rate`) with its
-  ``trace_spool`` export: every segment streams its ``txn.begin`` /
-  ``txn.end`` records to a shard file (in whatever worker process
-  computed it) and the parent heap-merges the shards plus the
-  post-stitch ``txn.collision`` stream into one ordered trace.  Because
-  the shards and the merge order are pure functions of ``(seed,
-  shards)``, the exported trace is byte-identical at any worker count —
-  which is exactly what ``repro obs diff`` verifies.
+  ``trace_path`` export: the ``txn.begin`` / ``txn.end`` stream merged
+  in time order with the ``txn.collision`` stream, a pure function of
+  the run's parameters and seed.
 * ``collision`` — one Section 5.1 validation trial
   (:func:`repro.experiments.harness.run_collision_trial`) with a real
   :class:`~repro.sim.trace.TraceRecorder` attached to the broadcast
@@ -24,7 +20,6 @@ the scenario layers and is imported by the CLI on every invocation.
 from __future__ import annotations
 
 import pathlib
-import shutil
 from typing import Any, Dict, Optional, Union
 
 from .envelope import read_header, read_trace, write_trace
@@ -48,14 +43,10 @@ def record_montecarlo(
     mean_duration: float = 1.0,
     fixed_duration: bool = False,
     seed: int = 0,
-    shards: int = 1,
-    runner: Any = None,
 ) -> Dict[str, Any]:
     """Run one Monte Carlo trial, exporting its trace to ``out``.
 
-    The spool directory (``<out>.spool``) holds per-segment shards
-    during the run and is removed afterwards; only the merged trace
-    survives.  Returns the scenario's result as a JSON-safe dict.
+    Returns the scenario's result as a JSON-safe dict.
     """
     from ..core.montecarlo import (
         ExponentialDuration,
@@ -70,22 +61,15 @@ def record_montecarlo(
     )
     target = pathlib.Path(out)
     target.parent.mkdir(parents=True, exist_ok=True)
-    spool = target.with_name(target.name + ".spool")
-    try:
-        result = simulate_collision_rate(
-            id_bits,
-            rate,
-            sampler,
-            horizon=horizon,
-            warmup=warmup,
-            seed=seed,
-            shards=shards,
-            runner=runner,
-            trace_spool=str(spool),
-        )
-        (spool / "trace.jsonl").replace(target)
-    finally:
-        shutil.rmtree(spool, ignore_errors=True)
+    result = simulate_collision_rate(
+        id_bits,
+        rate,
+        sampler,
+        horizon=horizon,
+        warmup=warmup,
+        seed=seed,
+        trace_path=str(target),
+    )
     return {
         "scenario": "montecarlo",
         "transactions": result.transactions,
@@ -165,7 +149,6 @@ def write_summary(
     trace_path: PathLike,
     result: Dict[str, Any],
     spans: Optional[Dict[str, Dict[str, float]]] = None,
-    telemetry: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Write an ``obs-summary`` envelope next to a recorded trace.
 
@@ -186,7 +169,5 @@ def write_summary(
             layer: round(total, 6)
             for layer, total in layer_breakdown(spans).items()
         }
-    if telemetry is not None:
-        payload["telemetry"] = telemetry
     save_envelope(path, "obs-summary", payload)
     return payload

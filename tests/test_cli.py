@@ -145,7 +145,6 @@ class TestMonteCarloCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["montecarlo"])
         assert args.id_bits == 8
-        assert args.shards == 1
         assert args.workers == 1
 
     def test_quick_run_prints_table(self, capsys):
@@ -157,48 +156,62 @@ class TestMonteCarloCommand:
         assert "Monte Carlo: H=5 bits" in out
         assert "simulated collision rate (mean)" in out
 
-    def test_sharded_pooled_run(self, capsys):
-        assert main([
-            "montecarlo", "--id-bits", "5", "--rate", "4",
-            "--horizon", "40", "--trials", "2", "--shards", "2",
-            "--workers", "2", "--no-cache",
-        ]) == 0
-        out = capsys.readouterr().out + capsys.readouterr().err
-        assert "shards=2" in out
-
 
 class TestCountsBelowOne:
-    """Counts under 1 are usage errors, before any work."""
+    """Counts under 1, and rates, horizons and durations that are not
+    finite and positive, are usage errors, before any work."""
+
+    COUNT = "must be at least 1, got 0"
+    POSITIVE = "must be positive and finite"
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["figure", "4", "--workers", "0"],
-            ["montecarlo", "--shards", "0"],
-            ["obs", "record", "--scenario", "montecarlo", "--shards", "0",
-             "--out", "unused.jsonl"],
-            ["montecarlo", "--trials", "0"],
-            ["figure", "4", "--trials", "0"],
-            ["sweep", "--trials", "0"],
-            ["validate", "--trials", "0"],
-            ["report", "--trials", "0", "--output", "unused-report"],
-            ["flow", "run", "--nodes", "0"],
-            ["obs", "record", "--scenario", "collision", "--senders", "0",
-             "--out", "unused.jsonl"],
-        ],
-        ids=[
-            "workers", "montecarlo-shards", "obs-record-shards",
-            "montecarlo-trials", "figure-trials", "sweep-trials",
-            "validate-trials", "report-trials",
-            "flow-run-nodes", "obs-record-senders",
+            pytest.param(["figure", "4", "--workers", "0"], COUNT, id="workers"),
+            pytest.param(["montecarlo", "--trials", "0"], COUNT,
+                         id="montecarlo-trials"),
+            pytest.param(["figure", "4", "--trials", "0"], COUNT,
+                         id="figure-trials"),
+            pytest.param(["sweep", "--trials", "0"], COUNT, id="sweep-trials"),
+            pytest.param(["validate", "--trials", "0"], COUNT,
+                         id="validate-trials"),
+            pytest.param(["report", "--trials", "0", "--output", "unused-report"],
+                         COUNT, id="report-trials"),
+            pytest.param(["flow", "run", "--nodes", "0"], COUNT,
+                         id="flow-run-nodes"),
+            pytest.param(["obs", "record", "--scenario", "collision",
+                          "--senders", "0", "--out", "unused.jsonl"], COUNT,
+                         id="obs-record-senders"),
+            pytest.param(["montecarlo", "--horizon", "0"], POSITIVE,
+                         id="montecarlo-horizon"),
+            pytest.param(["montecarlo", "--rate", "nan"], "must be a number",
+                         id="montecarlo-rate-nan"),
+            pytest.param(["montecarlo", "--rate", "inf"], POSITIVE,
+                         id="montecarlo-rate-inf"),
+            pytest.param(["montecarlo", "--mean-duration", "-1"], POSITIVE,
+                         id="montecarlo-mean-duration"),
+            pytest.param(["montecarlo", "--warmup", "nan"], "must be a number",
+                         id="montecarlo-warmup-nan"),
+            pytest.param(["obs", "record", "--scenario", "montecarlo",
+                          "--horizon", "0", "--out", "unused.jsonl"], POSITIVE,
+                         id="obs-record-horizon"),
+            pytest.param(["obs", "record", "--scenario", "montecarlo",
+                          "--rate", "nan", "--out", "unused.jsonl"],
+                         "must be a number", id="obs-record-rate-nan"),
+            pytest.param(["obs", "record", "--scenario", "montecarlo",
+                          "--mean-duration", "0", "--out", "unused.jsonl"],
+                         POSITIVE, id="obs-record-mean-duration"),
+            pytest.param(["obs", "record", "--scenario", "montecarlo",
+                          "--warmup", "nan", "--out", "unused.jsonl"],
+                         "must be a number", id="obs-record-warmup-nan"),
         ],
     )
-    def test_exit_two(self, argv, capsys):
+    def test_exit_two(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
-        assert "must be at least 1, got 0" in captured.err
+        assert message in captured.err
         assert captured.out == ""
 
 
@@ -319,14 +332,12 @@ class TestProfileFlag:
     def test_obs_record_summary_holds_worker_spans(self, tmp_path):
         summary = tmp_path / "summary.json"
         argv = [
-            "obs", "record", "--scenario", "montecarlo", "--shards", "2",
-            "--workers", "2", "--horizon", "20", "--profile",
+            "obs", "record", "--scenario", "montecarlo", "--horizon", "20",
+            "--profile",
             "--out", str(tmp_path / "trace.jsonl"), "--summary", str(summary),
         ]
         assert main(argv) == 0
-        counts = _span_counts(summary)
-        assert counts["core.sample"] == 2  # one per forked segment
-        assert counts["exec.trial"] == 2
+        assert _span_counts(summary) == {"core.sample": 1, "core.replay": 1}
 
     def test_profiler_is_uninstalled_afterwards(self, tmp_path):
         from repro.obs.spans import active_profiler

@@ -1,8 +1,6 @@
 """Tests for the mixed-duration model extension and its Monte Carlo oracle."""
 
 import heapq
-import itertools
-import json
 import math
 import random
 
@@ -262,17 +260,15 @@ class TestMonteCarlo:
             (5.0, 10.0, math.nan),
         ],
     )
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_rejects_unbounded_runs_before_any_draw(self, rate, horizon, warmup, shards):
-        rng = random.Random(4) if shards == 1 else None
-        before = rng.getstate() if rng is not None else None
+    def test_rejects_unbounded_runs_before_any_draw(self, rate, horizon, warmup):
+        rng = random.Random(4)
+        before = rng.getstate()
         with pytest.raises(ValueError):
             simulate_collision_rate(
                 6, rate, FixedDuration(1.0), horizon=horizon, warmup=warmup,
-                rng=rng, seed=None if shards == 1 else 1, shards=shards,
+                rng=rng,
             )
-        if rng is not None:
-            assert rng.getstate() == before
+        assert rng.getstate() == before
 
     @pytest.mark.parametrize(
         "sampler", [FixedDuration(math.nan), lambda r: math.nan]
@@ -579,173 +575,7 @@ class TestBulkDrawsUnderSanitizer:
         assert sum(sites.values()) - gaps == plain.transactions
 
 
-class TestSharding:
-    PIN_SMALL = (949, 0.12539515279241306, 4.561522717310129)
-    PIN_LONG = (24063, 0.02169305572871213, 11.909173485859137)
-
-    def _small(self, runner=None, shards=4):
-        return simulate_collision_rate(
-            6, 5.0, ExponentialDuration(1.0), horizon=200.0,
-            warmup=2.0, seed=42, shards=shards, runner=runner,
-        )
-
-    def test_sharded_pins(self):
-        mc = self._small()
-        assert (mc.transactions, mc.collision_rate, mc.measured_density) == (
-            self.PIN_SMALL
-        )
-        long = simulate_collision_rate(
-            10, 12.0, ExponentialDuration(1.0), horizon=2000.0, seed=9, shards=4
-        )
-        assert (long.transactions, long.collision_rate,
-                long.measured_density) == self.PIN_LONG
-
-    def test_deterministic_across_worker_counts_and_repeats(self):
-        from repro.exec import TrialRunner
-
-        baseline = self._small()
-        for workers in (1, 3):
-            assert self._small(runner=TrialRunner(workers=workers)) == baseline
-        assert self._small() == baseline
-
-    def test_stitch_matches_brute_force_oracle(self):
-        """Sharded collision counts equal O(n^2) overlap ground truth."""
-        from repro.exec.keys import segment_seed
-
-        bits, rate, horizon = 5, 4.0, 60.0
-        samplers = (ExponentialDuration(1.0), FixedDuration(1.0))
-        for seed, shards, sampler in itertools.product((1, 2, 3), (2, 3, 5), samplers):
-            txns = []
-            for i in range(shards):
-                lo = (horizon * i) / shards
-                hi = (horizon * (i + 1)) / shards
-                rng = random.Random(segment_seed(seed, i))
-                starts, durations = _per_draw_arrivals(
-                    rate, sampler, rng, lo, hi
-                )
-                idents = _per_draw_identifiers(bits, rng, len(starts))
-                txns += [
-                    (starts[k], starts[k] + durations[k], idents[k])
-                    for k in range(len(starts))
-                ]
-            collided = set()
-            for a in range(len(txns)):
-                for b in range(a + 1, len(txns)):
-                    sa, ea, ia = txns[a]
-                    sb, eb, ib = txns[b]
-                    if ia == ib and sa < eb and sb < ea:
-                        collided.add(a)
-                        collided.add(b)
-
-            mc = simulate_collision_rate(
-                bits, rate, sampler,
-                horizon=horizon, seed=seed, shards=shards,
-            )
-            assert mc.transactions == len(txns)
-            assert round(mc.collision_rate * mc.transactions) == len(collided)
-
-    def test_stitch_end_at_later_start_does_not_contend(self):
-        from repro.core.montecarlo import _id_dtype, _pack, _stitch_segments
-
-        def segment(starts, identifiers, tails):
-            return {
-                "n": len(starts),
-                "starts": _pack(np.asarray(starts, dtype="<f8")),
-                "identifiers": _pack(np.asarray(identifiers, dtype=_id_dtype(6))),
-                "flagged": set(),
-                "tails": tails,
-            }
-
-        # Segment 0's arrival with id 5 is open over [9, 12) and the
-        # one with id 7 over [3, 25): both carry across the cut at 10,
-        # and only the second across the cut at 20.
-        segments = [
-            segment([3.0, 9.0], [7, 5], [[25.0, 7, 0], [12.0, 5, 1]]),
-            segment([11.0, 12.0, 12.5], [5, 5, 7], []),
-            segment([24.0, 25.0], [7, 7], []),
-        ]
-        _stitch_segments(segments, [0.0, 10.0, 20.0, 30.0], _id_dtype(6))
-        assert [sorted(seg["flagged"]) for seg in segments] == [[0, 1], [0, 2], [0]]
-
-    @pytest.mark.parametrize("bits", [0, 5, 16, 17, 62])
-    def test_segment_transport_round_trips_arrivals(self, bits):
-        from repro.core.montecarlo import _head, _id_dtype, _montecarlo_segment
-
-        sampler = ExponentialDuration(1.0)
-        value = _montecarlo_segment(bits, 5.0, sampler, 40.0, 2, 1, seed=77)
-        segment = json.loads(json.dumps(value))
-        rng = random.Random(77)
-        starts, _ = _per_draw_arrivals(5.0, sampler, rng, 20.0, 40.0)
-        identifiers = _per_draw_identifiers(bits, rng, len(starts))
-        packed_starts, packed_ids = _head(segment, math.inf, _id_dtype(bits))
-        assert packed_starts.tolist() == starts
-        assert packed_ids.tolist() == identifiers
-        # Every prefix decodes to exactly the arrivals before the cut.
-        for k in range(len(starts) + 1):
-            until = starts[k] if k < len(starts) else math.inf
-            head_starts, head_ids = _head(segment, until, _id_dtype(bits))
-            assert head_starts.tolist() == starts[:k]
-            assert head_ids.tolist() == identifiers[:k]
-
-    def test_warmup_excludes_early_transactions(self):
-        full = simulate_collision_rate(
-            6, 5.0, ExponentialDuration(1.0), horizon=100.0, seed=8, shards=2
-        )
-        warmed = simulate_collision_rate(
-            6, 5.0, ExponentialDuration(1.0), horizon=100.0, seed=8,
-            shards=2, warmup=50.0,
-        )
-        assert 0 < warmed.transactions < full.transactions
-
-    def test_empty_segments_give_nan(self):
-        mc = simulate_collision_rate(
-            8, 0.0001, FixedDuration(1.0), horizon=1.0, seed=1, shards=2
-        )
-        assert mc.transactions == 0
-        assert math.isnan(mc.collision_rate)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            simulate_collision_rate(6, 5.0, FixedDuration(1.0), shards=0)
-        with pytest.raises(ValueError):  # shards>1 needs a seed
-            simulate_collision_rate(6, 5.0, FixedDuration(1.0), shards=2)
-        with pytest.raises(ValueError):  # rng cannot be split into segments
-            simulate_collision_rate(
-                6, 5.0, FixedDuration(1.0), shards=2, seed=1,
-                rng=random.Random(1),
-            )
-
-    def test_sharded_failure_surfaces_as_exec_error(self):
-        from repro.exec import ExecError
-
-        with pytest.raises(ExecError):
-            # A negative-duration sampler fails inside every segment.
-            simulate_collision_rate(
-                6, 5.0, FixedDuration(-1.0), horizon=10.0, seed=1, shards=2
-            )
-
-
 class TestReplication:
-    def test_shards_one_is_the_classic_point(self):
-        """shards=1 must not perturb derived seeds or recorded results."""
-        classic = replicate_collision_rate(
-            6, 5.0, ExponentialDuration(1.0), trials=2, horizon=50.0
-        )
-        explicit = replicate_collision_rate(
-            6, 5.0, ExponentialDuration(1.0), trials=2, horizon=50.0, shards=1
-        )
-        assert classic == explicit
-
-    def test_sharded_replication_is_deterministic(self):
-        first = replicate_collision_rate(
-            6, 5.0, ExponentialDuration(1.0), trials=2, horizon=60.0, shards=3
-        )
-        second = replicate_collision_rate(
-            6, 5.0, ExponentialDuration(1.0), trials=2, horizon=60.0, shards=3
-        )
-        assert first == second
-        assert not math.isnan(first[0])
-
     def test_all_replicates_failing_raises(self, monkeypatch):
         from repro.core import montecarlo
         from repro.exec import ExecError, TrialRunner
@@ -785,8 +615,4 @@ class TestReplication:
         with pytest.raises(ValueError):
             replicate_collision_rate(
                 6, 5.0, ExponentialDuration(1.0), trials=0
-            )
-        with pytest.raises(ValueError):
-            replicate_collision_rate(
-                6, 5.0, ExponentialDuration(1.0), trials=1, shards=0
             )

@@ -170,6 +170,19 @@ class TestShardingAndOrdering:
         assert runner.telemetry.worker_tasks == {0: 4, 1: 4}
         assert sum(runner.telemetry.worker_busy.values()) >= 0.0
 
+    def test_telemetry_span_counts_stay_integers(self):
+        from repro.exec import RunTelemetry
+
+        table = {"core.sample": {"count": 4, "total": 0.5, "min": 0.1, "max": 0.2}}
+        telemetry = RunTelemetry()
+        telemetry.add_spans(table)
+        telemetry.add_spans(
+            {"core.sample": {"count": 4, "total": 0.25, "min": 0.05, "max": 0.1}}
+        )
+        merged = telemetry.summary()["spans"]["core.sample"]
+        assert merged["count"] == 8 and type(merged["count"]) is int
+        assert merged == {"count": 8, "total": 0.75, "min": 0.05, "max": 0.2}
+
 
 class TestFailurePaths:
     @pytest.mark.parametrize("workers", [1, 2])

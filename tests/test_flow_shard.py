@@ -157,6 +157,24 @@ class TestTraceIdentity:
         times = [record.time for record in records]
         assert times == sorted(times)
 
+    def test_stale_spool_shard_never_reaches_the_trace(self, tmp_path):
+        from repro.obs.envelope import write_trace
+        from repro.sim.trace import TraceRecord
+
+        clean = tmp_path / "clean.jsonl"
+        simulate_traced(SCENARIO, SEED, clean, shards=2)
+        # What a killed run leaves behind: a finished shard in the spool.
+        target = tmp_path / "rerun.jsonl"
+        spool = tmp_path / "rerun.jsonl.spool"
+        spool.mkdir()
+        write_trace(
+            spool / "windows-99999999.jsonl",
+            iter([TraceRecord(1.0, "flow.window", {"window": 99999999})]),
+        )
+        simulate_traced(SCENARIO, SEED, target, shards=2)
+        assert target.read_bytes() == clean.read_bytes()
+        assert not spool.exists()
+
 
 class TestCacheDiscipline:
     def test_no_aliasing_between_decompositions(self):

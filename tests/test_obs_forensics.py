@@ -125,8 +125,7 @@ def test_seeded_flow_collision_attribution(tmp_path):
 # ----------------------------------------------------------------------
 def test_montecarlo_attribution(tmp_path):
     trace = tmp_path / "mc.jsonl"
-    record_montecarlo(trace, id_bits=4, rate=4.0, horizon=40.0, seed=1,
-                      shards=2)
+    record_montecarlo(trace, id_bits=4, rate=4.0, horizon=40.0, seed=1)
     forensics = TraceForensics.from_trace(trace)
     lost = forensics.lost()
     assert lost
