@@ -153,14 +153,18 @@ def ledger_findings(payloads: Sequence[Mapping[str, Any]]) -> List[Finding]:
         if finding is not None:
             findings.append(finding)
 
-    # Registered streams whose call-site sets differ between processes.
-    sites_by_stream: Dict[str, Dict[int, Set[str]]] = {}
+    # Registered streams whose call-site sets differ between processes
+    # doing the same work: the legs of one pinned scenario, or the fork
+    # exercise's workers.  Two scenarios may draw one stream name from
+    # different sites (a uniform selector and a listening one).
+    sites_by_stream: Dict[Tuple[str, str], Dict[int, Set[str]]] = {}
     for payload in payloads:
         pid = int(payload.get("pid", 0))
+        scenario = str(payload.get("scenario", ""))
         for stream, sites in payload.get("draws", {}).items():
-            by_pid = sites_by_stream.setdefault(stream, {})
+            by_pid = sites_by_stream.setdefault((scenario, stream), {})
             by_pid.setdefault(pid, set()).update(sites)
-    for stream, by_pid in sorted(sites_by_stream.items()):
+    for (scenario, stream), by_pid in sorted(sites_by_stream.items()):
         site_sets = [sites for sites in by_pid.values() if sites]
         if len(site_sets) < 2:
             continue
@@ -175,7 +179,9 @@ def ledger_findings(payloads: Sequence[Mapping[str, Any]]) -> List[Finding]:
             filename,
             line,
             f"stream '{stream}' drawn from differing call-site sets across "
-            f"{len(by_pid)} processes; divergent site(s): "
+            f"{len(by_pid)} processes"
+            + (f" of scenario '{scenario}'" if scenario else "")
+            + "; divergent site(s): "
             + ", ".join(divergent[:3]),
         )
         if finding is not None:
@@ -308,7 +314,7 @@ def check_tie_order(
             continue
         outputs[leg] = proc.stdout
         if san is not None:
-            _absorb_ledger_file(san, ledger)
+            _absorb_ledger_file(san, ledger, scenario.name)
 
     check: Dict[str, Any] = {
         "check": "tie-order",
@@ -354,15 +360,18 @@ def check_tie_order(
     return findings, check
 
 
-def _absorb_ledger_file(san: runtime.DetSanContext, ledger: Path) -> None:
-    """Absorb a pinned leg's exported observations, if it wrote any."""
+def _absorb_ledger_file(
+    san: runtime.DetSanContext, ledger: Path, scenario: str
+) -> None:
+    """Absorb a pinned leg's exported observations, if it wrote any,
+    tagged with the scenario they came from."""
     try:
         payloads = json.loads(ledger.read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return
     for payload in payloads:
         if isinstance(payload, dict):
-            san.absorb(payload)
+            san.absorb(dict(payload, scenario=scenario))
 
 
 def _slug(name: str) -> str:

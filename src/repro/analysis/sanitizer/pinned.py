@@ -46,12 +46,15 @@ class PinnedScenario:
     run: Callable[[pathlib.Path], Dict[str, Any]]
 
 
-def _run_collision(trace: pathlib.Path) -> Dict[str, Any]:
+def _run_collision(
+    trace: pathlib.Path, n_senders: int = 3, selector: str = "uniform"
+) -> Dict[str, Any]:
     """One Section 5.1 collision trial with its frame trace (kept small)."""
     from ...obs.record import record_collision
 
     return record_collision(
-        trace, id_bits=4, n_senders=3, duration=5.0, selector="uniform", seed=0
+        trace, id_bits=4, n_senders=n_senders, duration=5.0, selector=selector,
+        seed=0,
     )
 
 
@@ -67,6 +70,12 @@ def _run_montecarlo(trace: pathlib.Path, fixed_duration: bool = False) -> Dict[s
 
 SCENARIOS: Dict[str, PinnedScenario] = {
     "collision": PinnedScenario("collision", _run_collision),
+    # The testbed's five listening senders: drain wakes, and the
+    # selectors' note_transaction_end, under shuffled ties.
+    "collision-listening": PinnedScenario(
+        "collision-listening",
+        lambda trace: _run_collision(trace, n_senders=5, selector="listening"),
+    ),
     "montecarlo": PinnedScenario("montecarlo", _run_montecarlo),
     "montecarlo-fixed": PinnedScenario(
         "montecarlo-fixed", lambda trace: _run_montecarlo(trace, fixed_duration=True)

@@ -110,9 +110,15 @@ def _non_negative(name: str, value: float) -> float:
 class ContinuousStreamSender(_SenderBase):
     """Saturating sender with MAC back-pressure.
 
-    Offers a packet, then polls (at one frame-airtime granularity) until
-    the radio's MAC queue drains before offering the next — a driver
-    feeding frames to a serial-attached radio as fast as it accepts them.
+    Offers a packet, then polls the radio's MAC queue once per frame
+    airtime until it has drained; one airtime after the first poll that
+    finds it empty, it offers the next — a driver feeding frames to a
+    serial-attached radio as fast as it accepts them.
+
+    The polls that must find the queue busy are never scheduled: the
+    sender sleeps on :meth:`Mac.on_drain` and, at the pop that empties
+    the queue, schedules only the first poll at or after it.  Sends,
+    RNG draws and deadlines are those of polling every airtime.
 
     Starts are staggered uniformly over ``stagger`` seconds (default: a
     handful of frame times) so independently booted hosts do not
@@ -144,11 +150,31 @@ class ContinuousStreamSender(_SenderBase):
             self._wait_for_drain()
 
     def _wait_for_drain(self) -> None:
-        # Poll once per airtime while the MAC holds fragments; once it
-        # is empty, wait one extra airtime so the final fragment clears
-        # the air before the next packet's introduction is queued.
-        busy = self.driver.radio.mac.queue_depth > 0
-        self.sim.schedule(self._frame_airtime, self._poll if busy else self._send_next)
+        # Once the MAC queue is empty, wait one extra airtime so the
+        # final fragment clears the air before the next packet's
+        # introduction is queued.  While it is busy, sleep until it
+        # drains, remembering when the polls started.
+        mac = self.driver.radio.mac
+        if mac.queue_depth:
+            self._polls_from = self.sim.now
+            mac.on_drain(self._drained)
+        else:
+            self.sim.schedule(self._frame_airtime, self._send_next)
+
+    def _drained(self) -> None:
+        # Replay the poll times with the additions the event queue
+        # would have made.  Every poll strictly before this pop finds
+        # the queue busy whatever the same-time event order, so only
+        # its deadline test matters; the first poll at or after the
+        # pop runs for real and re-reads the queue.
+        now = self.sim.now
+        airtime = self._frame_airtime
+        poll = self._polls_from + airtime
+        while poll < now:
+            if poll >= self.duration:
+                return
+            poll += airtime
+        self.sim.schedule_at(poll, self._poll)
 
 
 class PeriodicSender(_SenderBase):

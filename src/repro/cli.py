@@ -40,15 +40,25 @@ from .obs.spans import profiling
 __all__ = ["main"]
 
 
-def _positive_int(text: str) -> int:
-    """Argparse type: an integer >= 1 (a usage error, exit 2, otherwise)."""
+def _int_at_least(text: str, minimum: int) -> int:
+    """``text`` as an integer >= ``minimum``, else ArgumentTypeError."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """Argparse type: an integer >= 1 (a usage error, exit 2, otherwise)."""
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    """Argparse type: an integer >= 0 (a usage error, exit 2, otherwise)."""
+    return _int_at_least(text, 0)
 
 
 def _number(text: str) -> float:
@@ -71,7 +81,8 @@ def _positive_float(text: str) -> float:
 
 
 def _add_exec_flags(sub: argparse.ArgumentParser, default_cache: Optional[str] = None) -> None:
-    """Execution-layer options shared by every simulated subcommand."""
+    """Execution-layer options shared by every subcommand that runs its
+    trials through a :class:`TrialRunner`."""
     group = sub.add_argument_group("execution")
     group.add_argument(
         "--workers", type=_positive_int, default=1,
@@ -92,6 +103,12 @@ def _add_exec_flags(sub: argparse.ArgumentParser, default_cache: Optional[str] =
         help="write run telemetry (timings, cache traffic, worker "
         "utilization) as JSON to PATH",
     )
+    _add_instrument_flags(group)
+
+
+def _add_instrument_flags(group: "argparse._ActionsContainer") -> None:
+    """``--profile`` and ``--metrics``: :func:`main` installs both around
+    the whole command, whether or not it runs a :class:`TrialRunner`."""
     group.add_argument(
         "--profile", action="store_true",
         help="profile per-layer wall time across the command and its "
@@ -413,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig = sub.add_parser("figure", help="regenerate a paper figure (1-4)")
     fig.add_argument("number", type=int)
     fig.add_argument("--trials", type=_positive_int, default=3)
-    fig.add_argument("--duration", type=float, default=20.0)
+    fig.add_argument("--duration", type=_positive_float, default=20.0)
     fig.add_argument("--seed", type=int, default=0)
     _add_exec_flags(fig)
     fig.set_defaults(func=_cmd_figure)
@@ -426,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     val = sub.add_parser("validate", help="quick model-vs-simulation check")
     val.add_argument("--trials", type=_positive_int, default=2)
-    val.add_argument("--duration", type=float, default=15.0)
+    val.add_argument("--duration", type=_positive_float, default=15.0)
     val.add_argument("--seed", type=int, default=0)
     _add_exec_flags(val)
     val.set_defaults(func=_cmd_validate)
@@ -435,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     scen = sub.add_parser("scenario", help="run an extension scenario")
     scen.add_argument("name", choices=sorted(_scenario_registry))
-    scen.add_argument("--duration", type=float, default=30.0)
+    scen.add_argument("--duration", type=_positive_float, default=30.0)
     scen.add_argument("--seed", type=int, default=0)
     _add_exec_flags(scen)
     scen.set_defaults(func=_cmd_scenario)
@@ -443,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("report", help="write every figure + scenario to a dir")
     rep.add_argument("--output", default="repro-report")
     rep.add_argument("--trials", type=_positive_int, default=2)
-    rep.add_argument("--duration", type=float, default=15.0)
+    rep.add_argument("--duration", type=_positive_float, default=15.0)
     rep.add_argument("--seed", type=int, default=0)
     # Reports cache by default (under the output directory) so a re-run
     # only computes what changed; --no-cache opts out.
@@ -464,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--selector", choices=("uniform", "listening", "oracle"),
                      default="uniform")
     swp.add_argument("--trials", type=_positive_int, default=2)
-    swp.add_argument("--duration", type=float, default=10.0)
+    swp.add_argument("--duration", type=_positive_float, default=10.0)
     swp.add_argument("--seed", type=int, default=0)
     _add_exec_flags(swp)
     swp.set_defaults(func=_cmd_sweep)
@@ -473,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
         "montecarlo",
         help="ground-truth collision trials, replicated across --workers",
     )
-    mc.add_argument("--id-bits", type=int, default=8)
+    mc.add_argument("--id-bits", type=_non_negative_int, default=8)
     mc.add_argument("--rate", type=_positive_float, default=5.0,
                     help="Poisson arrival rate (transactions/second)")
     mc.add_argument("--horizon", type=_positive_float, default=1000.0)

@@ -222,7 +222,12 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
     """Attach the ``flow`` sub-subcommands to the given subparser."""
-    from ..cli import _add_exec_flags, _positive_int
+    from ..cli import (
+        _add_exec_flags,
+        _add_instrument_flags,
+        _non_negative_int,
+        _positive_int,
+    )
     from ..experiments.figures import FIG4_DEFAULT_ID_BITS
     from .calibrate import DEFAULT_DENSITIES, DEFAULT_TOLERANCE
     from .hybrid import DEFAULT_SWITCH_THRESHOLD, FIDELITY_MODES
@@ -252,8 +257,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     run.add_argument("--summary", default=None, metavar="PATH",
                      help="write a flow-summary envelope (result, spans, "
                      "layer breakdown)")
-    run.add_argument("--profile", action="store_true",
-                     help="profile per-layer wall time (observational only)")
     run.add_argument("--flow-workers", type=_positive_int, default=1, metavar="N",
                      help="TrialRunner workers for sharded window "
                      "execution (results bit-identical at any count)")
@@ -263,10 +266,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     run.add_argument("--trace", default=None, metavar="PATH",
                      help="export the merged run trace (byte-identical "
                      "at any worker/shard count)")
-    run.add_argument("--metrics", default=None, metavar="PATH",
-                     help="write the run's deterministic metrics "
-                     "snapshot (JSONL) to PATH; bit-identical at any "
-                     "worker/shard count")
+    _add_instrument_flags(run)
     run.set_defaults(func=_cmd_run)
 
     cal = sub.add_parser(
@@ -274,7 +274,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help="compare flow-level vs discrete collision rates on the "
         "Figure-4 grid (exit 1 past the divergence budget)",
     )
-    cal.add_argument("--id-bits", type=int, nargs="+",
+    cal.add_argument("--id-bits", type=_non_negative_int, nargs="+",
                      default=list(FIG4_DEFAULT_ID_BITS), metavar="H",
                      help="identifier sizes to sweep (default: the "
                      "Figure-4 set)")

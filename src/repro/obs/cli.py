@@ -28,51 +28,45 @@ __all__ = ["configure_parser"]
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
-    from ..cli import _finish_exec, _make_runner
-
     from . import record
     from .spans import active_profiler
 
-    # Both scenarios run in this process; the runner only carries the
-    # shared execution flags (``--telemetry``).
-    runner = _make_runner(args)
-    try:
-        if args.scenario == "montecarlo":
-            result = record.record_montecarlo(
-                args.out,
-                id_bits=args.id_bits,
-                rate=args.rate,
-                horizon=args.horizon,
-                warmup=args.warmup,
-                mean_duration=args.mean_duration,
-                fixed_duration=args.fixed_duration,
-                seed=args.seed,
-            )
-        else:
-            result = record.record_collision(
-                args.out,
-                id_bits=args.id_bits,
-                n_senders=args.senders,
-                duration=args.duration,
-                selector=args.selector,
-                seed=args.seed,
-            )
-        summary = record.summarize_trace(args.out)
-        print(
-            f"recorded {summary['records']} record(s) "
-            f"({args.scenario}) into {args.out}"
+    # Both scenarios run in this process, with no TrialRunner: of the
+    # execution flags only the installed instruments apply.
+    if args.scenario == "montecarlo":
+        result = record.record_montecarlo(
+            args.out,
+            id_bits=args.id_bits,
+            rate=args.rate,
+            horizon=args.horizon,
+            warmup=args.warmup,
+            mean_duration=args.mean_duration,
+            fixed_duration=args.fixed_duration,
+            seed=args.seed,
         )
-        if args.summary:
-            profiler = active_profiler()
-            record.write_summary(
-                args.summary,
-                args.out,
-                result,
-                spans=profiler.to_json() if profiler else None,
-            )
-            print(f"wrote {args.summary}")
-    finally:
-        _finish_exec(runner, args)
+    else:
+        result = record.record_collision(
+            args.out,
+            id_bits=args.id_bits,
+            n_senders=args.senders,
+            duration=args.duration,
+            selector=args.selector,
+            seed=args.seed,
+        )
+    summary = record.summarize_trace(args.out)
+    print(
+        f"recorded {summary['records']} record(s) "
+        f"({args.scenario}) into {args.out}"
+    )
+    if args.summary:
+        profiler = active_profiler()
+        record.write_summary(
+            args.summary,
+            args.out,
+            result,
+            spans=profiler.to_json() if profiler else None,
+        )
+        print(f"wrote {args.summary}")
     return 0
 
 
@@ -195,7 +189,13 @@ def _cmd_why(args: argparse.Namespace) -> int:
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
     """Attach the ``obs`` sub-subcommands to the given subparser."""
-    from ..cli import _add_exec_flags, _number, _positive_float, _positive_int
+    from ..cli import (
+        _add_instrument_flags,
+        _non_negative_int,
+        _number,
+        _positive_float,
+        _positive_int,
+    )
 
     sub = parser.add_subparsers(dest="obs_command", required=True)
 
@@ -210,7 +210,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     rec.add_argument("--summary", default=None, metavar="PATH",
                      help="also write an obs-summary envelope (categories, "
                      "spans, layer breakdown)")
-    rec.add_argument("--id-bits", type=int, default=8)
+    rec.add_argument("--id-bits", type=_non_negative_int, default=8)
     rec.add_argument("--seed", type=int, default=0)
     mc = rec.add_argument_group("montecarlo scenario")
     mc.add_argument("--rate", type=_positive_float, default=5.0,
@@ -221,10 +221,10 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     mc.add_argument("--fixed-duration", action="store_true")
     col = rec.add_argument_group("collision scenario")
     col.add_argument("--senders", type=_positive_int, default=5)
-    col.add_argument("--duration", type=float, default=10.0)
+    col.add_argument("--duration", type=_positive_float, default=10.0)
     col.add_argument("--selector", choices=("uniform", "listening", "oracle"),
                      default="uniform")
-    _add_exec_flags(rec)
+    _add_instrument_flags(rec.add_argument_group("instruments"))
     rec.set_defaults(func=_cmd_record)
 
     summ = sub.add_parser("summary", help="summarize an exported trace")

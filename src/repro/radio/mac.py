@@ -10,14 +10,16 @@ vulnerable window in the classic slotted-ALOHA way.
 A MAC owns the outbound queue.  The radio hands it frames via
 :meth:`Mac.enqueue`; the MAC decides *when* to call the radio's
 ``_transmit_now`` and serialises a node's own transmissions (the
-hardware is half-duplex and single-channel).
+hardware is half-duplex and single-channel).  :meth:`Mac.on_drain`
+lets a back-pressured sender sleep until the queue empties instead of
+polling it.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Deque, Optional
+from typing import Callable, Deque, Optional
 
 from ..sim.engine import Simulator
 from ..sim.rng import fallback_stream
@@ -33,6 +35,7 @@ class Mac:
         self._radio = None
         self._queue: Deque[Frame] = deque()
         self._busy = False
+        self._on_drain: Optional[Callable[[], None]] = None
         self.frames_queued = 0
 
     def bind(self, radio) -> None:
@@ -48,6 +51,13 @@ class Mac:
     @property
     def queue_depth(self) -> int:
         return len(self._queue)
+
+    def on_drain(self, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` once, right after the pop that next leaves
+        the queue empty (the last frame has just gone on the air)."""
+        if self._on_drain is not None:
+            raise RuntimeError("a drain callback is already pending")
+        self._on_drain = callback
 
     # ------------------------------------------------------------------
     def enqueue(self, frame: Frame) -> None:
@@ -67,6 +77,9 @@ class Mac:
         frame = self._queue.popleft()
         airtime = self._radio._transmit_now(frame)
         self.sim.schedule(airtime, self._after_transmit)
+        if not self._queue and self._on_drain is not None:
+            callback, self._on_drain = self._on_drain, None
+            callback()
 
     def _after_transmit(self) -> None:
         if self._queue:

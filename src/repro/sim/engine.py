@@ -154,7 +154,26 @@ class Simulator:
         """
         if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self._now + delay
+        return self._push(self._now + delay, callback, args)
+
+    def schedule_at(
+        self, time: float, callback: Callable[..., Any], *args: Any
+    ) -> EventHandle:
+        """Post ``callback(*args)`` at the absolute timestamp ``time >= now``.
+
+        The event fires at ``time`` exactly; ``now + (time - now)`` could
+        round to a neighbouring float.
+        """
+        if not time >= self._now:  # also rejects NaN
+            raise SimulationError(
+                f"cannot schedule into the past (time={time}, now={self._now})"
+            )
+        return self._push(time, callback, args)
+
+    def _push(
+        self, time: float, callback: Callable[..., Any], args: tuple
+    ) -> EventHandle:
+        """Queue ``callback(*args)`` at ``time``, already checked >= now."""
         handle = EventHandle(time, callback, args)
         seq = next(self._seq)
         san = self._sanitizer
@@ -165,12 +184,6 @@ class Simulator:
         if self._metrics is not None:
             self._metrics.gauge_max("engine.queue_depth", len(self._queue))
         return handle
-
-    def schedule_at(
-        self, time: float, callback: Callable[..., Any], *args: Any
-    ) -> EventHandle:
-        """Post ``callback(*args)`` at an absolute timestamp ``time >= now``."""
-        return self.schedule(time - self._now, callback, *args)
 
     def cancel(self, handle: EventHandle) -> None:
         """Cancel a previously scheduled event (alias for ``handle.cancel()``)."""

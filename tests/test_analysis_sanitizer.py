@@ -201,6 +201,34 @@ class TestDetectors:
 
 
 # ----------------------------------------------------------------------
+# SAN001: call sites of a registered stream
+# ----------------------------------------------------------------------
+class TestCallSiteDivergence:
+    @staticmethod
+    def _draws(pid, scenario, site):
+        return {"pid": pid, "scenario": scenario, "draws": {"selector.0": {site: 1}}}
+
+    def test_divergent_sites_within_a_scenario_fire(self, tmp_path):
+        target = tmp_path / "mod.py"
+        target.write_text("a = draw()\nb = draw()\n", encoding="utf-8")
+        findings = ledger_findings([
+            self._draws(1, "collision", f"{target}:1:f"),
+            self._draws(2, "collision", f"{target}:2:g"),
+        ])
+        assert [f.rule_id for f in findings] == ["SAN001"]
+        assert "of scenario 'collision'" in findings[0].message
+
+    def test_sites_of_different_scenarios_are_not_compared(self, tmp_path):
+        target = tmp_path / "mod.py"
+        target.write_text("a = draw()\nb = draw()\n", encoding="utf-8")
+        findings = ledger_findings([
+            self._draws(1, "collision", f"{target}:1:f"),
+            self._draws(2, "collision-listening", f"{target}:2:g"),
+        ])
+        assert findings == []
+
+
+# ----------------------------------------------------------------------
 # SAN004: state drift
 # ----------------------------------------------------------------------
 class TestStateDrift:

@@ -329,12 +329,12 @@ class TestSenderSchedules:
         [
             pytest.param(
                 _sender(ContinuousStreamSender, 80), 3.0,
-                (331, '42f0fe30958b9e33', [111, 109, 111], 5297, '716ac2cbdc55003a'),
+                (331, '42f0fe30958b9e33', [111, 109, 111], 4304, '716ac2cbdc55003a'),
                 id="continuous-default-stagger",
             ),
             pytest.param(
                 _sender(ContinuousStreamSender, 80, stagger=0.0), 3.0,
-                (336, '36b6ee33728609b5', [112, 112, 112], 5367, '24062b519de79a0f'),
+                (336, '36b6ee33728609b5', [112, 112, 112], 4365, '24062b519de79a0f'),
                 id="continuous-no-stagger",
             ),
             pytest.param(

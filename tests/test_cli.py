@@ -158,10 +158,12 @@ class TestMonteCarloCommand:
 
 
 class TestCountsBelowOne:
-    """Counts under 1, and rates, horizons and durations that are not
-    finite and positive, are usage errors, before any work."""
+    """Counts under 1, identifier sizes under 0, and rates, horizons and
+    durations that are not finite and positive, are usage errors, before
+    any work."""
 
     COUNT = "must be at least 1, got 0"
+    NEGATIVE = "must be at least 0, got -1"
     POSITIVE = "must be positive and finite"
 
     @pytest.mark.parametrize(
@@ -204,6 +206,26 @@ class TestCountsBelowOne:
             pytest.param(["obs", "record", "--scenario", "montecarlo",
                           "--warmup", "nan", "--out", "unused.jsonl"],
                          "must be a number", id="obs-record-warmup-nan"),
+            pytest.param(["montecarlo", "--id-bits", "-1"], NEGATIVE,
+                         id="montecarlo-id-bits"),
+            pytest.param(["obs", "record", "--id-bits", "-1",
+                          "--out", "unused.jsonl"], NEGATIVE,
+                         id="obs-record-id-bits"),
+            pytest.param(["flow", "calibrate", "--id-bits", "3", "-1"], NEGATIVE,
+                         id="flow-calibrate-id-bits"),
+            pytest.param(["obs", "record", "--scenario", "collision",
+                          "--duration", "0", "--out", "unused.jsonl"], POSITIVE,
+                         id="obs-record-duration"),
+            pytest.param(["figure", "4", "--duration", "0"], POSITIVE,
+                         id="figure-duration"),
+            pytest.param(["validate", "--duration", "-1"], POSITIVE,
+                         id="validate-duration"),
+            pytest.param(["scenario", "hidden-terminal", "--duration", "0"],
+                         POSITIVE, id="scenario-duration"),
+            pytest.param(["report", "--duration", "inf", "--output", "unused-report"],
+                         POSITIVE, id="report-duration"),
+            pytest.param(["sweep", "--duration", "nan"], "must be a number",
+                         id="sweep-duration"),
         ],
     )
     def test_exit_two(self, argv, message, capsys):
@@ -300,6 +322,37 @@ def _span_counts(path):
 
     spans = json.loads(path.read_text())["payload"]["spans"]
     return {name: stats["count"] for name, stats in spans.items()}
+
+
+class TestObsRecordFlags:
+    """``obs record`` runs no TrialRunner: it takes the instrument flags
+    and rejects the execution flags that would do nothing there."""
+
+    RECORD = ["obs", "record", "--scenario", "collision", "--duration", "1",
+              "--senders", "2"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--workers", "2"], ["--cache-dir", "unused-cache"], ["--no-cache"],
+         ["--telemetry", "unused.json"]],
+        ids=["workers", "cache-dir", "no-cache", "telemetry"],
+    )
+    def test_execution_flags_are_usage_errors(self, flags, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.RECORD + ["--out", str(tmp_path / "t.jsonl")] + flags)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_metrics_snapshot_counts_the_trial(self, tmp_path):
+        from repro.obs.metrics import read_snapshot
+
+        snapshot = tmp_path / "metrics.jsonl"
+        argv = self.RECORD + ["--out", str(tmp_path / "t.jsonl"),
+                              "--metrics", str(snapshot)]
+        assert main(argv) == 0
+        registry, _ = read_snapshot(snapshot)
+        assert registry.counter("engine.events") > 0
 
 
 class TestProfileFlag:

@@ -132,8 +132,10 @@ class TestDispatchAttribution:
     def test_sender_wakes_book_to_apps(self):
         """Every event is booked to the layer of the module that handles
         it. Traffic senders are callback chains defined in ``repro.apps``,
-        so their wakes are ``apps.dispatch``; no Figure-4 event is handled
-        by kernel code, so nothing books ``engine.dispatch``."""
+        so their wakes are ``apps.dispatch`` (two per packet: the poll
+        that finds the MAC queue drained, then the send); no Figure-4
+        event is handled by kernel code, so nothing books
+        ``engine.dispatch``."""
         from repro.experiments.harness import CollisionTrialConfig, run_collision_trial
 
         profiler = SpanProfiler()
@@ -145,5 +147,5 @@ class TestDispatchAttribution:
             if name.endswith(".dispatch")
         }
         assert "engine.dispatch" not in dispatches
-        assert dispatches["apps.dispatch"] == 4592
-        assert sum(dispatches.values()) == 7472
+        assert dispatches["apps.dispatch"] == 360
+        assert sum(dispatches.values()) == 3240

@@ -65,6 +65,33 @@ class TestAloha:
             AlohaMac(gap=-1.0)
 
 
+@pytest.mark.parametrize(
+    "mac_factory",
+    [AlohaMac, lambda: AlohaMac(gap=0.5), lambda: SlottedMac(slot=1.0),
+     lambda: CsmaMac(backoff_max=0.2, rng=random.Random(1))],
+    ids=["aloha", "aloha-gap", "slotted", "csma"],
+)
+class TestDrainHook:
+    def test_fires_once_at_the_pop_that_empties_the_queue(self, mac_factory):
+        sim, medium, radios = setup(mac_factory=mac_factory)
+        tx = radios[0]
+        starts, drains = [], []
+        tx.add_tx_listener(lambda f: starts.append(sim.now))
+        for _ in range(3):
+            tx.send(frame(0))
+        tx.mac.on_drain(lambda: drains.append((sim.now, tx.mac.queue_depth)))
+        sim.run()
+        assert len(starts) == 3
+        assert drains == [(starts[-1], 0)]
+
+    def test_one_pending_callback_at_a_time(self, mac_factory):
+        sim, medium, radios = setup(mac_factory=mac_factory)
+        mac = radios[0].mac
+        mac.on_drain(lambda: None)
+        with pytest.raises(RuntimeError):
+            mac.on_drain(lambda: None)
+
+
 class TestSlotted:
     def test_transmissions_start_on_slot_boundaries(self):
         sim, medium, radios = setup(mac_factory=lambda: SlottedMac(slot=1.0))

@@ -94,6 +94,17 @@ class TestScheduling:
         sim.run()
         assert hits == [4.0]
 
+    def test_schedule_at_fires_at_time_exactly(self):
+        # now + (time - now) rounds to 1.0 here: time - now is a
+        # half-ulp tie that rounds to even, and so is the sum.
+        now, time = 2.0 ** -53, 1.0 + 2.0 ** -52
+        assert now + (time - now) != time
+        sim = Simulator()
+        hits = []
+        sim.schedule(now, lambda: sim.schedule_at(time, lambda: hits.append(sim.now)))
+        sim.run()
+        assert hits == [time]
+
     def test_schedule_at_past_time_rejected(self):
         sim = Simulator()
         sim.schedule(5.0, lambda: None)
