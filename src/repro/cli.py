@@ -27,7 +27,7 @@ import argparse
 import math
 import sys
 from contextlib import ExitStack
-from typing import Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from .core import model
 from .exec import ResultCache, TrialRunner
@@ -59,6 +59,15 @@ def _positive_int(text: str) -> int:
 def _non_negative_int(text: str) -> int:
     """Argparse type: an integer >= 0 (a usage error, exit 2, otherwise)."""
     return _int_at_least(text, 0)
+
+
+def _int_list(minimum: int) -> Callable[[str], List[int]]:
+    """Argparse type: comma-separated integers, each >= ``minimum``."""
+
+    def parse(text: str) -> List[int]:
+        return [_int_at_least(value, minimum) for value in text.split(",")]
+
+    return parse
 
 
 def _number(text: str) -> float:
@@ -291,9 +300,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .experiments.harness import CollisionTrialConfig, run_collision_trial
     from .experiments.sweep import grid_sweep
 
-    id_bits_values = [int(v) for v in args.id_bits.split(",")]
-    sender_values = [int(v) for v in args.senders.split(",")]
-
     def trial(id_bits: int, n_senders: int, seed: int) -> float:
         return run_collision_trial(
             CollisionTrialConfig(
@@ -308,7 +314,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     runner = _make_runner(args)
     result = grid_sweep(
         trial,
-        grid={"id_bits": id_bits_values, "n_senders": sender_values},
+        grid={"id_bits": args.id_bits, "n_senders": args.senders},
         trials=args.trials,
         base_seed=args.seed,
         runner=runner,
@@ -436,9 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     fig.set_defaults(func=_cmd_figure)
 
     mod = sub.add_parser("model", help="query the analytic model")
-    mod.add_argument("--data-bits", type=int, default=16)
-    mod.add_argument("--density", type=float, default=16.0)
-    mod.add_argument("--static-bits", type=int, default=16)
+    mod.add_argument("--data-bits", type=_non_negative_int, default=16)
+    mod.add_argument("--density", type=_positive_float, default=16.0)
+    mod.add_argument("--static-bits", type=_non_negative_int, default=16)
     mod.set_defaults(func=_cmd_model)
 
     val = sub.add_parser("validate", help="quick model-vs-simulation check")
@@ -472,11 +478,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep collision trials over identifier sizes and densities",
     )
     swp.add_argument(
-        "--id-bits", default="3,4,5,6,8",
+        "--id-bits", type=_int_list(0), default="3,4,5,6,8",
         help="comma-separated identifier sizes",
     )
     swp.add_argument(
-        "--senders", default="5", help="comma-separated sender counts"
+        "--senders", type=_int_list(1), default="5",
+        help="comma-separated sender counts",
     )
     swp.add_argument("--selector", choices=("uniform", "listening", "oracle"),
                      default="uniform")

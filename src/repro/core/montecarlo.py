@@ -15,10 +15,13 @@ transaction collides depends only on the start and end times of the
 transactions sharing its identifier; the kernels compute every flag and
 the time-weighted density with a few NumPy sorts and scans instead of
 one :class:`~repro.core.transactions.TransactionLog` entry per arrival.
+The collision kernel sorts no times: one ``searchsorted`` over the
+time-ordered starts gives each arrival's integer reach (how many
+arrivals start before it ends), so every overlap test compares arrival
+positions, and a stable radix sort of the identifiers groups them.
 The result is bit-for-bit identical to the historical
-build-list/double/sort pipeline (kept as
-:func:`_simulate_collision_rate_reference` for equivalence tests and
-benchmarking).  Parallelism comes from replicates:
+build-list/double/sort pipeline, which the tests keep as their
+reference.  Parallelism comes from replicates:
 :func:`replicate_collision_rate` fans seeded trials out across a
 :class:`repro.exec.TrialRunner`'s workers.
 
@@ -45,7 +48,6 @@ from ..sim.bulk import eligible, seat, words
 from ..sim.rng import fallback_stream
 from ..sim.trace import TraceRecord
 from .identifiers import IdentifierSpace
-from .transactions import TransactionLog
 
 if TYPE_CHECKING:  # numpy.typing costs import time; annotations only
     from numpy.typing import ArrayLike
@@ -224,29 +226,40 @@ def _collision_flags(
     ``k`` begins: ``start_j + duration_j > start_k``.  An end at exactly
     a begin's timestamp does not contend.
 
-    A stable sort groups arrivals by identifier, keeping arrival order
-    inside a group.  A transaction collides with a later one iff its end
-    passes the next same-identifier start, and with an earlier one iff
-    the group's running maximum end passes its own start.  The running
-    maximum is taken over integer ranks of the times, offset per group,
-    so it compares exactly the floats the comparison would.
+    No float is sorted.  Starts are sorted already, so one
+    ``searchsorted`` gives each arrival's *reach*: the number of
+    arrivals that start before it ends.  ``j`` is still open when ``k``
+    begins exactly when ``k < reach[j]``, so both overlap tests compare
+    integer arrival positions, never times.  A stable sort groups
+    arrivals by identifier, keeping arrival order inside a group; it
+    runs over the narrowest integer dtype that holds the identifiers,
+    which NumPy radix-sorts up to 16 bits.  A transaction collides with
+    a later one iff the next same-identifier arrival is within its
+    reach, and with an earlier one iff the group's running maximum
+    reach passes its own position; reaches are offset by ``n + 1`` per
+    group, so one running maximum serves every group.
     """
     begin = np.asarray(starts, dtype=np.float64)
     n = len(begin)
     if n == 0:
         return np.zeros(0, dtype=bool)
-    ident = np.asarray(identifiers, dtype=np.int64)
+    reach = np.searchsorted(
+        begin, begin + np.asarray(durations, dtype=np.float64), side="left"
+    )
+    ident = np.asarray(identifiers)
+    key = np.result_type(
+        np.min_scalar_type(ident.min()), np.min_scalar_type(ident.max())
+    )
+    ident = ident.astype(key, copy=False)
     order = np.argsort(ident, kind="stable")
     ident = ident[order]
-    begin = begin[order]
-    end = begin + np.asarray(durations, dtype=np.float64)[order]
+    reach = reach[order]
     same = ident[1:] == ident[:-1]  # neighbours in one identifier group
     flags = np.zeros(n, dtype=bool)
-    flags[:-1] = same & (end[:-1] > begin[1:])
-    _, ranks = np.unique(np.concatenate((end, begin)), return_inverse=True)
-    offset = np.concatenate(([0], np.cumsum(~same))) * (2 * n)
-    running = np.maximum.accumulate(ranks[:n] + offset)
-    flags[1:] |= same & (running[:-1] > ranks[n + 1:] + offset[1:])
+    flags[:-1] = same & (order[1:] < reach[:-1])
+    offset = np.concatenate(([0], np.cumsum(~same))) * (n + 1)
+    running = np.maximum.accumulate(reach + offset)
+    flags[1:] |= same & (running[:-1] > order[1:] + offset[1:])
     out = np.empty(n, dtype=bool)
     out[order] = flags
     return out
@@ -272,72 +285,6 @@ def _measured_density(starts: ArrayLike, durations: ArrayLike) -> float:
     area = np.concatenate(([0.0], level[:-1])) * np.diff(times, prepend=0.0)
     last = float(times[-1])
     return float(np.add.accumulate(area)[-1]) / last if last > 0 else 0.0
-
-
-def _simulate_collision_rate_reference(
-    id_bits: int,
-    arrival_rate: float,
-    duration_sampler: DurationSampler,
-    horizon: float = 1000.0,
-    rng: Optional[random.Random] = None,
-    warmup: float = 0.0,
-) -> MonteCarloResult:
-    """The historical build-list/double/sort pipeline, kept verbatim.
-
-    The fast event core must stay bit-identical to this; equivalence
-    tests and ``benchmarks/test_micro_throughput.py`` both replay it.
-    """
-    if arrival_rate <= 0:
-        raise ValueError("arrival_rate must be positive")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    rng = rng if rng is not None else fallback_stream("core.montecarlo")
-    space = IdentifierSpace(id_bits)
-    log = TransactionLog()
-
-    events = []  # (time, kind, txn_record)
-    time = 0.0
-    owner = 0
-    while True:
-        time += rng.expovariate(arrival_rate)
-        if time >= horizon:
-            break
-        duration = duration_sampler(rng)
-        if duration < 0:
-            raise ValueError("duration sampler returned a negative duration")
-        events.append((time, 0, owner, duration))
-        owner += 1
-    stream = []
-    for start, _, who, duration in events:
-        stream.append((start, 1, who, duration))
-        stream.append((start + duration, 0, who, duration))
-    stream.sort(key=lambda e: (e[0], e[1]))
-
-    open_txns = {}
-    tracked = []
-    for when, kind, who, duration in stream:
-        if kind == 1:
-            txn = log.begin(owner=who, identifier=space.sample(rng), time=when)
-            open_txns[who] = txn
-            if when >= warmup:
-                tracked.append(txn)
-        else:
-            txn = open_txns.pop(who, None)
-            if txn is not None:
-                log.end(txn, when)
-
-    if not tracked:
-        return MonteCarloResult(
-            transactions=0,
-            collision_rate=float("nan"),
-            measured_density=log.measured_density(),
-        )
-    collided = sum(1 for t in tracked if log.collided(t))
-    return MonteCarloResult(
-        transactions=len(tracked),
-        collision_rate=collided / len(tracked),
-        measured_density=log.measured_density(),
-    )
 
 
 # ----------------------------------------------------------------------

@@ -226,6 +226,18 @@ class TestCountsBelowOne:
                          POSITIVE, id="report-duration"),
             pytest.param(["sweep", "--duration", "nan"], "must be a number",
                          id="sweep-duration"),
+            pytest.param(["sweep", "--id-bits", "abc"], "invalid int value",
+                         id="sweep-id-bits-text"),
+            pytest.param(["sweep", "--id-bits=3,-1", "--senders", "2"], NEGATIVE,
+                         id="sweep-id-bits"),
+            pytest.param(["sweep", "--senders", "5,0"], COUNT,
+                         id="sweep-senders"),
+            pytest.param(["model", "--data-bits", "-1"], NEGATIVE,
+                         id="model-data-bits"),
+            pytest.param(["model", "--static-bits", "-1"], NEGATIVE,
+                         id="model-static-bits"),
+            pytest.param(["model", "--density", "0"], POSITIVE,
+                         id="model-density"),
         ],
     )
     def test_exit_two(self, argv, message, capsys):

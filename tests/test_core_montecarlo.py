@@ -20,12 +20,12 @@ from repro.core.identifiers import IdentifierSpace
 from repro.core.montecarlo import (
     ExponentialDuration,
     FixedDuration,
+    MonteCarloResult,
     _collision_flags,
     _draw_identifiers,
     _generate_arrivals,
     _measured_density,
     _poisson_times,
-    _simulate_collision_rate_reference,
     replicate_collision_rate,
     simulate_collision_rate,
 )
@@ -71,6 +71,89 @@ def _oracle(starts, durations, identifiers):
     return flags, log.measured_density()
 
 
+def _rank_flags(starts, durations, identifiers):
+    """The rank-based batch kernel the integer-reach one replaced.
+
+    Kept as a second oracle: a stable ``int64`` sort groups arrivals by
+    identifier, and the running maximum end is taken over integer ranks
+    of every start and end time from one ``np.unique``, offset per group.
+    """
+    begin = np.asarray(starts, dtype=np.float64)
+    n = len(begin)
+    if n == 0:
+        return np.zeros(0, dtype=bool)
+    ident = np.asarray(identifiers, dtype=np.int64)
+    order = np.argsort(ident, kind="stable")
+    ident = ident[order]
+    begin = begin[order]
+    end = begin + np.asarray(durations, dtype=np.float64)[order]
+    same = ident[1:] == ident[:-1]
+    flags = np.zeros(n, dtype=bool)
+    flags[:-1] = same & (end[:-1] > begin[1:])
+    _, ranks = np.unique(np.concatenate((end, begin)), return_inverse=True)
+    offset = np.concatenate(([0], np.cumsum(~same))) * (2 * n)
+    running = np.maximum.accumulate(ranks[:n] + offset)
+    flags[1:] |= same & (running[:-1] > ranks[n + 1:] + offset[1:])
+    out = np.empty(n, dtype=bool)
+    out[order] = flags
+    return out
+
+
+def _simulate_collision_rate_reference(
+    id_bits, arrival_rate, duration_sampler, horizon, rng, warmup
+):
+    """The historical build-list/double/sort pipeline.
+
+    ``simulate_collision_rate`` must stay bit-identical to it.
+    """
+    space = IdentifierSpace(id_bits)
+    log = TransactionLog()
+
+    events = []  # (time, kind, txn_record)
+    time = 0.0
+    owner = 0
+    while True:
+        time += rng.expovariate(arrival_rate)
+        if time >= horizon:
+            break
+        duration = duration_sampler(rng)
+        if duration < 0:
+            raise ValueError("duration sampler returned a negative duration")
+        events.append((time, 0, owner, duration))
+        owner += 1
+    stream = []
+    for start, _, who, duration in events:
+        stream.append((start, 1, who, duration))
+        stream.append((start + duration, 0, who, duration))
+    stream.sort(key=lambda e: (e[0], e[1]))
+
+    open_txns = {}
+    tracked = []
+    for when, kind, who, duration in stream:
+        if kind == 1:
+            txn = log.begin(owner=who, identifier=space.sample(rng), time=when)
+            open_txns[who] = txn
+            if when >= warmup:
+                tracked.append(txn)
+        else:
+            txn = open_txns.pop(who, None)
+            if txn is not None:
+                log.end(txn, when)
+
+    if not tracked:
+        return MonteCarloResult(
+            transactions=0,
+            collision_rate=float("nan"),
+            measured_density=log.measured_density(),
+        )
+    collided = sum(1 for t in tracked if log.collided(t))
+    return MonteCarloResult(
+        transactions=len(tracked),
+        collision_rate=collided / len(tracked),
+        measured_density=log.measured_density(),
+    )
+
+
 def _per_draw_arrivals(rate, sampler, rng, start, stop):
     """The per-draw arrival loop the bulk kernels replaced, as lists.
 
@@ -105,10 +188,24 @@ _DURATIONS = st.one_of(
 )
 
 
+#: Identifier widths whose widest value takes each key dtype the kernel
+#: sorts on: ``uint8`` up to 8 bits, ``uint16`` (radix sort) at 10 and
+#: 16, ``uint32`` at 17 and ``uint64`` at 40.
+_ID_WIDTHS = [0, 1, 2, 3, 8, 10, 16, 17, 40]
+
+
 @st.composite
 def _arrivals(draw, max_size=60):
-    """``(starts, durations, identifiers)`` in arrival order."""
-    id_bits = draw(st.integers(min_value=0, max_value=3))
+    """``(starts, durations, identifiers)`` in arrival order.
+
+    Identifiers come from a pool of at most four values, so arrivals
+    share identifiers at every width.  The pool often holds the space's
+    edges and the powers of two that wrap to 0 in a key one dtype too
+    narrow.
+    """
+    id_bits = draw(st.sampled_from(_ID_WIDTHS))
+    top = (1 << id_bits) - 1
+    edges = [0, top] + [1 << bits for bits in (8, 16, 32) if bits < id_bits]
     n = draw(st.integers(min_value=0, max_value=max_size))
     time = draw(st.sampled_from([0.0, 0.5, 7.25]))
     starts = []
@@ -116,13 +213,15 @@ def _arrivals(draw, max_size=60):
         time += gap
         starts.append(time)
     durations = draw(st.lists(_DURATIONS, min_size=n, max_size=n))
-    identifiers = draw(
+    pool = draw(
         st.lists(
-            st.integers(min_value=0, max_value=(1 << id_bits) - 1),
-            min_size=n,
-            max_size=n,
+            st.one_of(st.sampled_from(edges), st.integers(0, top)),
+            min_size=1,
+            max_size=4,
+            unique=True,
         )
     )
+    identifiers = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     return starts, durations, identifiers
 
 
@@ -382,13 +481,50 @@ class TestBatchKernel:
     @example(([0.0, 0.5, 2.0], [5.0, 0.25, 0.1], [1, 1, 1]))  # running max
     @example(([0.0, 1.0], [math.nextafter(1.0, 2.0), 1.0], [0, 0]))  # one ulp past
     @example(([0.0, 1.0, 4.0], [3.0, 0.5, 1.0], [3, 3, 3]))  # max ends before
+    @example(([0.0, 0.5], [1.0, 1.0], [(1 << 40) - 1] * 2))  # uint64 key
+    @example(([0.0, 0.5], [1.0, 1.0], [0, 1 << 8]))  # equal low 8 bits
+    @example(([0.0, 0.5], [1.0, 1.0], [0, 1 << 16]))  # equal low 16 bits
+    @example(([0.0, 0.5], [1.0, 1.0], [0, 1 << 32]))  # equal low 32 bits
     def test_matches_replay_oracle(self, arrivals):
         starts, durations, identifiers = arrivals
         flags, density = _oracle(starts, durations, identifiers)
         got = _collision_flags(starts, durations, identifiers)
         assert got.dtype == bool
         assert got.tolist() == flags
+        assert _rank_flags(starts, durations, identifiers).tolist() == flags
         assert _measured_density(starts, durations) == density
+
+    def test_burst_window_matches_rank_kernel(self):
+        # A hybrid burst window at density ~280: two fixed-duration
+        # streams merged by start, ties by stream order, 10-bit
+        # identifiers (a uint16 key).
+        rng = random.Random(27)
+        a, dur_a = _generate_arrivals(9500.0, FixedDuration(0.01), rng, 0.0, 3.0)
+        b, dur_b = _generate_arrivals(9500.0, FixedDuration(0.02), rng, 0.0, 3.0)
+        begin = np.concatenate((a, b))
+        merged = np.argsort(begin, kind="stable")
+        starts = begin[merged]
+        durations = np.concatenate((dur_a, dur_b))[merged]
+        identifiers = _draw_identifiers(IdentifierSpace(10), rng, len(starts))
+        assert len(starts) > 56_000
+        expected = _rank_flags(starts, durations, identifiers)
+        assert 0 < np.count_nonzero(expected) < len(starts)
+        assert _collision_flags(starts, durations, identifiers).tolist() == (
+            expected.tolist()
+        )
+
+    @pytest.mark.parametrize("identifier", [0, 1023, (1 << 17) - 1, (1 << 40) - 1])
+    def test_one_shared_identifier(self, identifier):
+        rng = random.Random(identifier)
+        starts, durations = _per_draw_arrivals(
+            5.0, ExponentialDuration(0.3), rng, 0.0, 400.0
+        )
+        identifiers = [identifier] * len(starts)
+        flags, _ = _oracle(starts, durations, identifiers)
+        assert 0 < sum(flags) < len(flags)
+        expected = _rank_flags(starts, durations, identifiers).tolist()
+        assert expected == flags
+        assert _collision_flags(starts, durations, identifiers).tolist() == flags
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -416,6 +552,8 @@ class TestBatchKernel:
         flags, density = _oracle(merged_starts, merged_durations, identifiers)
         got = _collision_flags(merged_starts, merged_durations, identifiers)
         assert got.tolist() == flags
+        rank = _rank_flags(merged_starts, merged_durations, identifiers)
+        assert rank.tolist() == flags
         assert _measured_density(merged_starts, merged_durations) == density
 
     @settings(max_examples=40, deadline=None)
