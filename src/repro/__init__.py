@@ -23,31 +23,38 @@ Quickstart
 9
 """
 
-from .core import (
-    IdentifierSelector,
-    IdentifierSpace,
-    ListeningSelector,
-    OracleSelector,
-    RetriPolicy,
-    StaticGlobalPolicy,
-    StaticLocalPolicy,
-    DynamicLocalPolicy,
-    Transaction,
-    TransactionLog,
-    UniformSelector,
-    collision_probability,
-    crossover_density,
-    efficiency_aff,
-    efficiency_static,
-    min_static_bits,
-    optimal_identifier_bits,
-    p_success,
-)
-from .aff import AffDriver, Fragmenter, InstrumentedReceiver, Reassembler, StaticDriver
-from .net import BitBudget, Packet
-from .radio import BroadcastMedium, Frame, Radio
-from .sim import RngRegistry, Simulator
-from .topology import DiskGraph, FullMesh, Star
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from ._lazy import export_lazily
+
+if TYPE_CHECKING:
+    from .core import (
+        IdentifierSelector,
+        IdentifierSpace,
+        ListeningSelector,
+        OracleSelector,
+        RetriPolicy,
+        StaticGlobalPolicy,
+        StaticLocalPolicy,
+        DynamicLocalPolicy,
+        Transaction,
+        TransactionLog,
+        UniformSelector,
+        collision_probability,
+        crossover_density,
+        efficiency_aff,
+        efficiency_static,
+        min_static_bits,
+        optimal_identifier_bits,
+        p_success,
+    )
+    from .aff import AffDriver, Fragmenter, InstrumentedReceiver, Reassembler, StaticDriver
+    from .net import BitBudget, Packet
+    from .radio import BroadcastMedium, Frame, Radio
+    from .sim import RngRegistry, Simulator
+    from .topology import DiskGraph, FullMesh, Star
 
 __version__ = "1.0.0"
 
@@ -87,3 +94,35 @@ __all__ = [
     "p_success",
     "__version__",
 ]
+
+export_lazily(
+    __name__,
+    {
+        ".core.identifiers": (
+            "IdentifierSelector", "IdentifierSpace", "ListeningSelector",
+            "OracleSelector", "UniformSelector",
+        ),
+        ".core.policies": (
+            "RetriPolicy", "StaticGlobalPolicy", "StaticLocalPolicy",
+            "DynamicLocalPolicy",
+        ),
+        ".core.transactions": ("Transaction", "TransactionLog"),
+        ".core.model": (
+            "collision_probability", "crossover_density", "efficiency_aff",
+            "efficiency_static", "min_static_bits", "optimal_identifier_bits",
+            "p_success",
+        ),
+        ".aff.driver": ("AffDriver",),
+        ".aff.fragmenter": ("Fragmenter",),
+        ".aff.instrumented": ("InstrumentedReceiver",),
+        ".aff.reassembler": ("Reassembler",),
+        ".aff.static_frag": ("StaticDriver",),
+        ".net.packets": ("BitBudget", "Packet"),
+        ".radio.medium": ("BroadcastMedium",),
+        ".radio.frame": ("Frame",),
+        ".radio.radio": ("Radio",),
+        ".sim.rng": ("RngRegistry",),
+        ".sim.engine": ("Simulator",),
+        ".topology.graphs": ("DiskGraph", "FullMesh", "Star"),
+    },
+)

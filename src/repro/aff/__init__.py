@@ -11,21 +11,28 @@
   baseline.
 """
 
-from .driver import AffDriver, AffDriverStats
-from .fragmenter import Fragmenter, FragmentPlan
-from .instrumented import InstrumentedCounts, InstrumentedReceiver
-from .reassembler import Reassembler, ReassemblerStats
-from .static_frag import StaticCodec, StaticData, StaticDriver, StaticIntro
-from .wire import (
-    DataFragment,
-    FragmentCodec,
-    IntroFragment,
-    KIND_DATA,
-    KIND_INTRO,
-    KIND_NOTIFY,
-    MalformedFragmentError,
-    NotifyFragment,
-)
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from .._lazy import export_lazily
+
+if TYPE_CHECKING:
+    from .driver import AffDriver, AffDriverStats
+    from .fragmenter import Fragmenter, FragmentPlan
+    from .instrumented import InstrumentedCounts, InstrumentedReceiver
+    from .reassembler import Reassembler, ReassemblerStats
+    from .static_frag import StaticCodec, StaticData, StaticDriver, StaticIntro
+    from .wire import (
+        DataFragment,
+        FragmentCodec,
+        IntroFragment,
+        KIND_DATA,
+        KIND_INTRO,
+        KIND_NOTIFY,
+        MalformedFragmentError,
+        NotifyFragment,
+    )
 
 __all__ = [
     "AffDriver",
@@ -49,3 +56,21 @@ __all__ = [
     "StaticDriver",
     "StaticIntro",
 ]
+
+export_lazily(
+    __name__,
+    {
+        ".driver": ("AffDriver", "AffDriverStats"),
+        ".fragmenter": ("Fragmenter", "FragmentPlan"),
+        ".instrumented": ("InstrumentedCounts", "InstrumentedReceiver"),
+        ".reassembler": ("Reassembler", "ReassemblerStats"),
+        ".static_frag": (
+            "StaticCodec", "StaticData", "StaticDriver", "StaticIntro",
+        ),
+        ".wire": (
+            "DataFragment", "FragmentCodec", "IntroFragment", "KIND_DATA",
+            "KIND_INTRO", "KIND_NOTIFY", "MalformedFragmentError",
+            "NotifyFragment",
+        ),
+    },
+)

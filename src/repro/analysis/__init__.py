@@ -26,38 +26,37 @@ canonical serialization path (PURE001).  Run it as::
 
 See ``docs/static-analysis.md`` for the rule catalogue and the
 suppression / baseline workflow.
+
+The simulation kernel imports :mod:`.sanitizer.runtime`, which runs
+this ``__init__``, so it imports none of the linter: its names resolve
+on first access, and the rule packs register on the first read of
+:func:`~.core.registry` or :func:`~.core.project_registry`.
 """
 
 from __future__ import annotations
 
-from .core import (
-    Baseline,
-    Finding,
-    Linter,
-    LintReport,
-    ModuleContext,
-    ProjectRule,
-    Rule,
-    all_project_rules,
-    all_rules,
-    project_registry,
-    register,
-    register_project,
-    registry,
-)
-from .callgraph import CallGraph, build_callgraph
-from .symbols import ProjectContext, build_project
+from typing import TYPE_CHECKING
 
-# Importing the rule-pack modules registers their rules.
-from . import determinism as determinism
-from . import rngstreams as rngstreams
-from . import wire_rules as wire_rules
-from . import seed_rules as seed_rules
-from . import exec_rules as exec_rules
-from . import purity as purity
-from . import obs_rules as obs_rules
-from . import flow_rules as flow_rules
-from . import range_rules as range_rules
+from .._lazy import export_lazily
+
+if TYPE_CHECKING:
+    from .core import (
+        Baseline,
+        Finding,
+        Linter,
+        LintReport,
+        ModuleContext,
+        ProjectRule,
+        Rule,
+        all_project_rules,
+        all_rules,
+        project_registry,
+        register,
+        register_project,
+        registry,
+    )
+    from .callgraph import CallGraph, build_callgraph
+    from .symbols import ProjectContext, build_project
 
 __all__ = [
     "Baseline",
@@ -78,3 +77,16 @@ __all__ = [
     "register_project",
     "registry",
 ]
+
+export_lazily(
+    __name__,
+    {
+        ".core": (
+            "Baseline", "Finding", "Linter", "LintReport", "ModuleContext",
+            "ProjectRule", "Rule", "all_project_rules", "all_rules",
+            "project_registry", "register", "register_project", "registry",
+        ),
+        ".callgraph": ("CallGraph", "build_callgraph"),
+        ".symbols": ("ProjectContext", "build_project"),
+    },
+)

@@ -5,7 +5,8 @@ The design mirrors flake8/ruff at one-tenth scale:
 * a :class:`Rule` inspects one parsed module (:class:`ModuleContext`)
   and yields :class:`Finding`\\ s;
 * rules self-register in a process-wide :func:`registry` via the
-  :func:`register` decorator;
+  :func:`register` decorator, when their pack (:data:`RULE_PACKS`) is
+  imported on the first read of a registry;
 * a finding on a line carrying ``# lint: ignore`` (all rules) or
   ``# lint: ignore[RULE1,RULE2]`` (listed rules) is suppressed at the
   source;
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import importlib
 import json
 import re
 from dataclasses import dataclass, field
@@ -246,6 +248,27 @@ class Rule:
 
 _REGISTRY: Dict[str, Type[Rule]] = {}
 
+#: The rule-pack modules of this package.  Importing one registers its
+#: rules; the registry readers below import them all, so importing the
+#: framework (or :mod:`.sanitizer.runtime`, under the simulation kernel)
+#: loads no rule.
+RULE_PACKS = (
+    "determinism",
+    "rngstreams",
+    "wire_rules",
+    "seed_rules",
+    "exec_rules",
+    "purity",
+    "obs_rules",
+    "flow_rules",
+    "range_rules",
+)
+
+
+def _load_rule_packs() -> None:
+    for pack in RULE_PACKS:
+        importlib.import_module(f"{__package__}.{pack}")
+
 
 def register(cls: Type[Rule]) -> Type[Rule]:
     """Class decorator: add ``cls`` to the global rule registry."""
@@ -259,11 +282,13 @@ def register(cls: Type[Rule]) -> Type[Rule]:
 
 def registry() -> Dict[str, Type[Rule]]:
     """A copy of the rule registry (id -> rule class)."""
+    _load_rule_packs()
     return dict(_REGISTRY)
 
 
 def all_rules() -> List[Rule]:
     """Fresh instances of every registered rule, sorted by id."""
+    _load_rule_packs()
     return [_REGISTRY[rule_id]() for rule_id in sorted(_REGISTRY)]
 
 
@@ -322,11 +347,13 @@ def register_project(cls: Type[ProjectRule]) -> Type[ProjectRule]:
 
 def project_registry() -> Dict[str, Type[ProjectRule]]:
     """A copy of the project-rule registry (id -> rule class)."""
+    _load_rule_packs()
     return dict(_PROJECT_REGISTRY)
 
 
 def all_project_rules() -> List[ProjectRule]:
     """Fresh instances of every registered project rule, sorted by id."""
+    _load_rule_packs()
     return [_PROJECT_REGISTRY[rule_id]() for rule_id in sorted(_PROJECT_REGISTRY)]
 
 

@@ -10,42 +10,49 @@
   dynamic-local allocation baselines behind one interface.
 """
 
-from .estimators import (
-    DensityEstimator,
-    EwmaEstimator,
-    InstantaneousEstimator,
-    LittlesLawEstimator,
-    WindowedTimeAverageEstimator,
-)
-from .identifiers import (
-    IdentifierSelector,
-    IdentifierSpace,
-    ListeningSelector,
-    OracleSelector,
-    UniformSelector,
-)
-from .model import (
-    ModelPoint,
-    collision_probability,
-    crossover_density,
-    efficiency_aff,
-    efficiency_static,
-    expected_useful_bits,
-    min_static_bits,
-    optimal_identifier_bits,
-    p_success,
-    static_space_exhausted,
-    sweep_aff_efficiency,
-)
-from .policies import (
-    AllocationPolicy,
-    ColoringLocalPolicy,
-    DynamicLocalPolicy,
-    RetriPolicy,
-    StaticGlobalPolicy,
-    StaticLocalPolicy,
-)
-from .transactions import Transaction, TransactionLog
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from .._lazy import export_lazily
+
+if TYPE_CHECKING:
+    from .estimators import (
+        DensityEstimator,
+        EwmaEstimator,
+        InstantaneousEstimator,
+        LittlesLawEstimator,
+        WindowedTimeAverageEstimator,
+    )
+    from .identifiers import (
+        IdentifierSelector,
+        IdentifierSpace,
+        ListeningSelector,
+        OracleSelector,
+        UniformSelector,
+    )
+    from .model import (
+        ModelPoint,
+        collision_probability,
+        crossover_density,
+        efficiency_aff,
+        efficiency_static,
+        expected_useful_bits,
+        min_static_bits,
+        optimal_identifier_bits,
+        p_success,
+        static_space_exhausted,
+        sweep_aff_efficiency,
+    )
+    from .policies import (
+        AllocationPolicy,
+        ColoringLocalPolicy,
+        DynamicLocalPolicy,
+        RetriPolicy,
+        StaticGlobalPolicy,
+        StaticLocalPolicy,
+    )
+    from .transactions import Transaction, TransactionLog
 
 __all__ = [
     "AllocationPolicy",
@@ -78,3 +85,28 @@ __all__ = [
     "static_space_exhausted",
     "sweep_aff_efficiency",
 ]
+
+export_lazily(
+    __name__,
+    {
+        ".estimators": (
+            "DensityEstimator", "EwmaEstimator", "InstantaneousEstimator",
+            "LittlesLawEstimator", "WindowedTimeAverageEstimator",
+        ),
+        ".identifiers": (
+            "IdentifierSelector", "IdentifierSpace", "ListeningSelector",
+            "OracleSelector", "UniformSelector",
+        ),
+        ".model": (
+            "ModelPoint", "collision_probability", "crossover_density",
+            "efficiency_aff", "efficiency_static", "expected_useful_bits",
+            "min_static_bits", "optimal_identifier_bits", "p_success",
+            "static_space_exhausted", "sweep_aff_efficiency",
+        ),
+        ".policies": (
+            "AllocationPolicy", "ColoringLocalPolicy", "DynamicLocalPolicy",
+            "RetriPolicy", "StaticGlobalPolicy", "StaticLocalPolicy",
+        ),
+        ".transactions": ("Transaction", "TransactionLog"),
+    },
+)

@@ -128,7 +128,8 @@ def _poisson_times(
     while True:
         expected = max(rate * (stop - time), 0.0)
         count = int(min(expected + 4.0 * math.sqrt(expected) + 16.0, _CHUNK_ARRIVALS))
-        logs = np.array(list(map(math.log, (1.0 - reader.doubles(count)).tolist())))
+        complements = memoryview(1.0 - reader.doubles(count))
+        logs = np.fromiter(map(math.log, complements), np.float64, count)
         gaps = -logs / rate
         gaps[0] += time
         times = np.add.accumulate(gaps)

@@ -19,22 +19,29 @@ contract, and the cache key specification.
   identities (:mod:`repro.exec.keys`).
 """
 
-from .cache import CacheStats, ResultCache
-from .keys import (
-    canonical_point,
-    canonical_value,
-    derive_trial_seed,
-    trial_key,
-)
-from .runner import (
-    ExecError,
-    TrialFailure,
-    TrialOutcome,
-    TrialRunner,
-    TrialSpec,
-    TrialTimeout,
-)
-from .telemetry import RunTelemetry, TrialRecord
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from .._lazy import export_lazily
+
+if TYPE_CHECKING:
+    from .cache import CacheStats, ResultCache
+    from .keys import (
+        canonical_point,
+        canonical_value,
+        derive_trial_seed,
+        trial_key,
+    )
+    from .runner import (
+        ExecError,
+        TrialFailure,
+        TrialOutcome,
+        TrialRunner,
+        TrialSpec,
+        TrialTimeout,
+    )
+    from .telemetry import RunTelemetry, TrialRecord
 
 __all__ = [
     "CacheStats",
@@ -52,3 +59,19 @@ __all__ = [
     "derive_trial_seed",
     "trial_key",
 ]
+
+export_lazily(
+    __name__,
+    {
+        ".cache": ("CacheStats", "ResultCache"),
+        ".keys": (
+            "canonical_point", "canonical_value", "derive_trial_seed",
+            "trial_key",
+        ),
+        ".runner": (
+            "ExecError", "TrialFailure", "TrialOutcome", "TrialRunner",
+            "TrialSpec", "TrialTimeout",
+        ),
+        ".telemetry": ("RunTelemetry", "TrialRecord"),
+    },
+)

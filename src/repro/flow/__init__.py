@@ -17,39 +17,46 @@ Scale target (ROADMAP): 10k–1M-node scenarios, millions of
 transactions, seconds of wall clock.  See ``docs/flow.md``.
 """
 
-from .calibrate import (
-    CalibrationPoint,
-    CalibrationReport,
-    calibrate,
-    replicate_flow,
-)
-from .fastpath import pure_sampling
-from .hybrid import DEFAULT_SWITCH_THRESHOLD, FIDELITY_MODES, simulate, wants_frame
-from .sampler import (
-    FlowResult,
-    WindowOutcome,
-    WindowSpec,
-    sample_flow,
-    sample_window,
-    window_collision_probability,
-    window_plan,
-)
-from .shard import (
-    WindowRange,
-    merge_range_values,
-    partition_plan,
-    simulate_sharded,
-    simulate_traced,
-    window_range_trial,
-)
-from .streams import (
-    FlowScenario,
-    TransactionStream,
-    aggregate_node_workload,
-    figure4_scenario,
-    massive_scenario,
-    scenario_peak_density,
-)
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from .._lazy import export_lazily
+
+if TYPE_CHECKING:
+    from .calibrate import (
+        CalibrationPoint,
+        CalibrationReport,
+        calibrate,
+        replicate_flow,
+    )
+    from .fastpath import pure_sampling
+    from .hybrid import DEFAULT_SWITCH_THRESHOLD, FIDELITY_MODES, simulate, wants_frame
+    from .sampler import (
+        FlowResult,
+        WindowOutcome,
+        WindowSpec,
+        sample_flow,
+        sample_window,
+        window_collision_probability,
+        window_plan,
+    )
+    from .shard import (
+        WindowRange,
+        merge_range_values,
+        partition_plan,
+        simulate_sharded,
+        simulate_traced,
+        window_range_trial,
+    )
+    from .streams import (
+        FlowScenario,
+        TransactionStream,
+        aggregate_node_workload,
+        figure4_scenario,
+        massive_scenario,
+        scenario_peak_density,
+    )
 
 __all__ = [
     "CalibrationPoint",
@@ -81,3 +88,30 @@ __all__ = [
     "window_plan",
     "window_range_trial",
 ]
+
+export_lazily(
+    __name__,
+    {
+        ".calibrate": (
+            "CalibrationPoint", "CalibrationReport", "calibrate",
+            "replicate_flow",
+        ),
+        ".fastpath": ("pure_sampling",),
+        ".hybrid": (
+            "DEFAULT_SWITCH_THRESHOLD", "FIDELITY_MODES", "simulate",
+            "wants_frame",
+        ),
+        ".sampler": (
+            "FlowResult", "WindowOutcome", "WindowSpec", "sample_flow",
+            "sample_window", "window_collision_probability", "window_plan",
+        ),
+        ".shard": (
+            "WindowRange", "merge_range_values", "partition_plan",
+            "simulate_sharded", "simulate_traced", "window_range_trial",
+        ),
+        ".streams": (
+            "FlowScenario", "TransactionStream", "aggregate_node_workload",
+            "figure4_scenario", "massive_scenario", "scenario_peak_density",
+        ),
+    },
+)

@@ -257,10 +257,8 @@ def sample_window(
     (:mod:`repro.flow.fastpath`), which is bit-identical to this loop
     including the stream's final state.
     """
-    from .fastpath import sample_window_fast
-
     mean = _checked_mean(window.arrival_rate * window.width)
-    fast = sample_window_fast(window, id_bits, rng, model)
+    fast = fastpath.sample_window_fast(window, id_bits, rng, model)
     if fast is not None:
         inc("flow.fastpath_hits")
         return fast
@@ -295,3 +293,9 @@ def sample_flow(
         collisions=sum(w.collisions for w in outcomes),
         windows=tuple(outcomes),
     )
+
+
+# Last, and the module rather than its function: fastpath imports this
+# module's window types, so either can be imported first.  Loading it
+# with the sampler means forked workers never import it per window.
+from . import fastpath  # noqa: E402

@@ -38,24 +38,29 @@ and friends explicitly.
 
 from __future__ import annotations
 
-from .metrics import (
-    MetricsRegistry,
-    active_metrics,
-    collecting,
-    gauge_max,
-    inc,
-    observe,
-)
-from .spans import (
-    LAYER_BUCKETS,
-    SpanProfiler,
-    SpanStats,
-    active_profiler,
-    layer_breakdown,
-    layer_of_module,
-    profiling,
-    span,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import export_lazily
+
+if TYPE_CHECKING:
+    from .metrics import (
+        MetricsRegistry,
+        active_metrics,
+        collecting,
+        gauge_max,
+        inc,
+        observe,
+    )
+    from .spans import (
+        LAYER_BUCKETS,
+        SpanProfiler,
+        SpanStats,
+        active_profiler,
+        layer_breakdown,
+        layer_of_module,
+        profiling,
+        span,
+    )
 
 __all__ = [
     "LAYER_BUCKETS",
@@ -73,3 +78,17 @@ __all__ = [
     "profiling",
     "span",
 ]
+
+export_lazily(
+    __name__,
+    {
+        ".metrics": (
+            "MetricsRegistry", "active_metrics", "collecting", "gauge_max",
+            "inc", "observe",
+        ),
+        ".spans": (
+            "LAYER_BUCKETS", "SpanProfiler", "SpanStats", "active_profiler",
+            "layer_breakdown", "layer_of_module", "profiling", "span",
+        ),
+    },
+)

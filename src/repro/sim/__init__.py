@@ -8,10 +8,17 @@ Public surface:
 * Online statistics in :mod:`repro.sim.monitor`.
 """
 
-from .engine import EventHandle, SimulationError, Simulator
-from .monitor import Counter, Histogram, RunningStats, TimeWeightedValue
-from .rng import RngRegistry, derive_seed
-from .trace import NullRecorder, TraceRecord, TraceRecorder
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from .._lazy import export_lazily
+
+if TYPE_CHECKING:
+    from .engine import EventHandle, SimulationError, Simulator
+    from .monitor import Counter, Histogram, RunningStats, TimeWeightedValue
+    from .rng import RngRegistry, derive_seed
+    from .trace import NullRecorder, TraceRecord, TraceRecorder
 
 __all__ = [
     "Counter",
@@ -27,3 +34,15 @@ __all__ = [
     "TraceRecorder",
     "derive_seed",
 ]
+
+export_lazily(
+    __name__,
+    {
+        ".engine": ("EventHandle", "SimulationError", "Simulator"),
+        ".monitor": (
+            "Counter", "Histogram", "RunningStats", "TimeWeightedValue",
+        ),
+        ".rng": ("RngRegistry", "derive_seed"),
+        ".trace": ("NullRecorder", "TraceRecord", "TraceRecorder"),
+    },
+)

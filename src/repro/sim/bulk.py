@@ -32,10 +32,14 @@ __all__ = ["Seated", "eligible", "seat", "words"]
 _MT_VERSION = 3
 
 #: The generator every stream is seated in, and a ``uint32`` view of
-#: its 625 state words; built on first use, as importing
-#: ``numpy.random`` takes ~10 ms.
-_source: Any = None
-_view: Any = None
+#: its 625 state words.  Built at import (``numpy.random`` takes 10-20
+#: ms to import), so forked workers inherit it instead of paying that
+#: per trial.
+_source = np.random.Generator(np.random.MT19937(0))
+_view = np.frombuffer(
+    (ctypes.c_uint32 * 625).from_address(_source.bit_generator.ctypes.state_address),
+    np.uint32,
+)
 
 
 def eligible(rng: random.Random) -> bool:
@@ -51,11 +55,6 @@ def words(rng: random.Random, count: int) -> np.ndarray:
 
 def _seat(keys: Tuple[int, ...]) -> Any:
     """The shared generator, positioned at a ``random.Random`` state's words."""
-    global _source, _view
-    if _source is None:
-        _source = np.random.Generator(np.random.MT19937(0))
-        address = _source.bit_generator.ctypes.state_address
-        _view = np.frombuffer((ctypes.c_uint32 * 625).from_address(address), np.uint32)
     _view[:] = np.frombuffer(array.array("I", keys), dtype=np.uint32)
     return _source
 

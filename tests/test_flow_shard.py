@@ -6,6 +6,7 @@ path at every combination, and different decompositions never alias in
 the result cache.
 """
 
+import json
 import pathlib
 
 import pytest
@@ -174,6 +175,32 @@ class TestTraceIdentity:
         simulate_traced(SCENARIO, SEED, target, shards=2)
         assert target.read_bytes() == clean.read_bytes()
         assert not spool.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_truncated_shard_fails_the_run_and_leaves_nothing(
+        self, tmp_path, monkeypatch, workers
+    ):
+        from repro.flow import shard
+        from repro.obs.envelope import TraceReadError
+
+        real = shard.window_range_trial
+
+        def drop_first_footer(*args, **kwargs):
+            value = real(*args, **kwargs)
+            path = pathlib.Path(kwargs["trace_path"])
+            if kwargs["lo"] == 0:  # one shard loses its footer
+                lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+                assert json.loads(lines[-1])["end"] is True
+                path.write_text("".join(lines[:-1]), encoding="utf-8")
+            return value
+
+        monkeypatch.setattr(shard, "window_range_trial", drop_first_footer)
+        target = tmp_path / "t.jsonl"
+        with pytest.raises(TraceReadError, match="no footer"):
+            simulate_traced(
+                SCENARIO, SEED, target, shards=3, runner=TrialRunner(workers=workers)
+            )
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
 class TestCacheDiscipline:
