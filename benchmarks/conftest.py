@@ -21,6 +21,8 @@ stats for the test that published it.
 import math
 import os
 import pathlib
+import platform
+from importlib import metadata
 
 import pytest
 
@@ -54,6 +56,16 @@ def _bench_json_path(results_dir, name):
     return results_dir / f"BENCH_{name}.json"
 
 
+def _host():
+    """What a timing depends on besides the code: cores and versions."""
+    return {
+        "nproc": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": metadata.version("numpy"),
+    }
+
+
 def _write_bench_json(results_dir, name, metrics):
     from repro.experiments.persistence import save_envelope
 
@@ -65,7 +77,7 @@ def _write_bench_json(results_dir, name, metrics):
             "duration": DURATION,
             "workers": WORKERS,
         },
-        "host": {"nproc": os.cpu_count()},
+        "host": _host(),
         "metrics": _jsonable(dict(metrics or {})),
     }
     save_envelope(_bench_json_path(results_dir, name), "benchmark", payload)

@@ -15,16 +15,18 @@ Data fragment            kind(2) | id(H) | offset(16) | length(8) | payload
 ``H`` (the AFF identifier size in bits) parameterises the codec.  The
 encoded frame is the packed bits zero-padded to a whole number of bytes;
 per-fragment *logical* header bits (for the efficiency ledger) are
-reported separately by :meth:`FragmentCodec.intro_header_bits` and
-:meth:`FragmentCodec.data_header_bits`.
+reported separately by :attr:`FragmentCodec.intro_header_bits` and
+:attr:`FragmentCodec.data_header_bits`.
+
+A fragment is packed as one integer, its fields shifted in MSB-first,
+and written with one ``to_bytes``; a frame is parsed from one
+``int.from_bytes`` by shifts and masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
-
-from ..util.bits import BitReader, BitWriter, BitstreamError
 
 if TYPE_CHECKING:
     from ..radio.frame import Frame
@@ -96,6 +98,12 @@ class NotifyFragment:
 Fragment = Union[IntroFragment, DataFragment, NotifyFragment]
 
 
+def _truncated(needed: int, size: int) -> MalformedFragmentError:
+    return MalformedFragmentError(
+        f"truncated fragment: {size} bits where the fields need {needed}"
+    )
+
+
 class FragmentCodec:
     """Encodes/decodes AFF fragments for a given identifier size.
 
@@ -104,25 +112,30 @@ class FragmentCodec:
     id_bits:
         AFF identifier size ``H``.  The central experimental knob: every
         figure in the paper sweeps it.
+
+    Attributes
+    ----------
+    intro_header_bits:
+        Bits of protocol header in an introduction fragment.
+    data_header_bits:
+        Bits of protocol header in a data fragment (excludes payload).
+    notify_bits:
+        Bits in a collision notification (all header, no payload).
     """
 
     def __init__(self, id_bits: int):
         if not 0 <= id_bits <= 62:
             raise ValueError("id_bits must be in [0, 62]")
         self.id_bits = id_bits
-
-    # ------------------------------------------------------------------
-    # Logical header sizes (bits), for the efficiency ledger
-    # ------------------------------------------------------------------
-    @property
-    def intro_header_bits(self) -> int:
-        """Bits of protocol header in an introduction fragment."""
-        return _KIND_BITS + self.id_bits + _LENGTH_BITS + _CHECKSUM_BITS
-
-    @property
-    def data_header_bits(self) -> int:
-        """Bits of protocol header in a data fragment (excludes payload)."""
-        return _KIND_BITS + self.id_bits + _OFFSET_BITS + _FRAGLEN_BITS
+        self.notify_bits = _KIND_BITS + id_bits
+        self.intro_header_bits = self.notify_bits + _LENGTH_BITS + _CHECKSUM_BITS
+        self.data_header_bits = self.notify_bits + _OFFSET_BITS + _FRAGLEN_BITS
+        # Zero bits that pad each kind's header to whole bytes (a data
+        # fragment's payload is whole bytes, so its header's pad is the
+        # frame's).
+        self._notify_pad = -self.notify_bits % 8
+        self._intro_pad = -self.intro_header_bits % 8
+        self._data_pad = -self.data_header_bits % 8
 
     def max_payload_in_frame(self, frame_bytes: int) -> int:
         """Largest data payload (bytes) that fits a ``frame_bytes`` frame."""
@@ -138,51 +151,48 @@ class FragmentCodec:
     # ------------------------------------------------------------------
     # Encoding
     # ------------------------------------------------------------------
-    def encode_intro(self, fragment: IntroFragment) -> bytes:
-        if fragment.identifier >> self.id_bits:
+    def _head(self, kind: int, identifier: int) -> int:
+        """``kind | identifier`` as one integer, range-checked."""
+        if identifier >> self.id_bits:
             raise ValueError(
-                f"identifier {fragment.identifier} exceeds {self.id_bits} bits"
+                f"identifier {identifier} exceeds {self.id_bits} bits"
             )
-        if not 0 <= fragment.total_length <= MAX_PACKET_BYTES:
-            raise ValueError(f"total_length {fragment.total_length} out of range")
-        writer = BitWriter()
-        writer.write(KIND_INTRO, _KIND_BITS)
-        writer.write(fragment.identifier, self.id_bits)
-        writer.write(fragment.total_length, _LENGTH_BITS)
-        writer.write(fragment.checksum & 0xFFFF, _CHECKSUM_BITS)
-        return writer.getvalue()
+        return (kind << self.id_bits) | identifier
+
+    def encode_intro(self, fragment: IntroFragment) -> bytes:
+        head = self._head(KIND_INTRO, fragment.identifier)
+        total_length = fragment.total_length
+        if not 0 <= total_length <= MAX_PACKET_BYTES:
+            raise ValueError(f"total_length {total_length} out of range")
+        word = (
+            (head << _LENGTH_BITS | total_length) << _CHECKSUM_BITS
+            | fragment.checksum & 0xFFFF
+        )
+        pad = self._intro_pad
+        return (word << pad).to_bytes((self.intro_header_bits + pad) // 8, "big")
 
     def encode_data(self, fragment: DataFragment) -> bytes:
-        if fragment.identifier >> self.id_bits:
-            raise ValueError(
-                f"identifier {fragment.identifier} exceeds {self.id_bits} bits"
-            )
-        if not 0 <= fragment.offset <= MAX_PACKET_BYTES:
-            raise ValueError(f"offset {fragment.offset} out of range")
-        if len(fragment.payload) > MAX_FRAGMENT_PAYLOAD:
-            raise ValueError(f"fragment payload of {len(fragment.payload)}B too long")
-        writer = BitWriter()
-        writer.write(KIND_DATA, _KIND_BITS)
-        writer.write(fragment.identifier, self.id_bits)
-        writer.write(fragment.offset, _OFFSET_BITS)
-        writer.write(len(fragment.payload), _FRAGLEN_BITS)
-        writer.write_bytes(fragment.payload)
-        return writer.getvalue()
+        head = self._head(KIND_DATA, fragment.identifier)
+        offset = fragment.offset
+        if not 0 <= offset <= MAX_PACKET_BYTES:
+            raise ValueError(f"offset {offset} out of range")
+        payload = fragment.payload
+        length = len(payload)
+        if length > MAX_FRAGMENT_PAYLOAD:
+            raise ValueError(f"fragment payload of {length}B too long")
+        word = (
+            ((head << _OFFSET_BITS | offset) << _FRAGLEN_BITS | length) << 8 * length
+            | int.from_bytes(payload, "big")
+        )
+        pad = self._data_pad
+        return (word << pad).to_bytes(
+            (self.data_header_bits + pad) // 8 + length, "big"
+        )
 
     def encode_notify(self, fragment: NotifyFragment) -> bytes:
-        if fragment.identifier >> self.id_bits:
-            raise ValueError(
-                f"identifier {fragment.identifier} exceeds {self.id_bits} bits"
-            )
-        writer = BitWriter()
-        writer.write(KIND_NOTIFY, _KIND_BITS)
-        writer.write(fragment.identifier, self.id_bits)
-        return writer.getvalue()
-
-    @property
-    def notify_bits(self) -> int:
-        """Bits in a collision notification (all header, no payload)."""
-        return _KIND_BITS + self.id_bits
+        head = self._head(KIND_NOTIFY, fragment.identifier)
+        pad = self._notify_pad
+        return (head << pad).to_bytes((self.notify_bits + pad) // 8, "big")
 
     def encode(self, fragment: Fragment) -> bytes:
         if isinstance(fragment, IntroFragment):
@@ -205,29 +215,41 @@ class FragmentCodec:
             Truncated input or an unknown kind tag.  A real driver sees
             these from RF corruption; receivers must drop, not crash.
         """
-        reader = BitReader(data)
-        try:
-            kind = reader.read(_KIND_BITS)
-            identifier = reader.read(self.id_bits)
-            if kind == KIND_INTRO:
-                total_length = reader.read(_LENGTH_BITS)
-                checksum = reader.read(_CHECKSUM_BITS)
-                return IntroFragment(
-                    identifier=identifier,
-                    total_length=total_length,
-                    checksum=checksum,
-                )
-            if kind == KIND_DATA:
-                offset = reader.read(_OFFSET_BITS)
-                length = reader.read(_FRAGLEN_BITS)
-                payload = reader.read_bytes(length)
-                return DataFragment(
-                    identifier=identifier, offset=offset, payload=payload
-                )
-            if kind == KIND_NOTIFY:
-                return NotifyFragment(identifier=identifier)
-        except BitstreamError as exc:
-            raise MalformedFragmentError(f"truncated fragment: {exc}") from exc
+        size = 8 * len(data)
+        end = self.notify_bits
+        if size < end:
+            raise _truncated(end, size)
+        word = int.from_bytes(data, "big")
+        head = word >> (size - end)
+        kind = head >> self.id_bits
+        identifier = head & ((1 << self.id_bits) - 1)
+        if kind == KIND_INTRO:
+            end = self.intro_header_bits
+            if size < end:
+                raise _truncated(end, size)
+            fields = word >> (size - end)
+            return IntroFragment(
+                identifier=identifier,
+                total_length=(fields >> _CHECKSUM_BITS) & 0xFFFF,
+                checksum=fields & 0xFFFF,
+            )
+        if kind == KIND_DATA:
+            end = self.data_header_bits
+            if size < end:
+                raise _truncated(end, size)
+            fields = word >> (size - end)
+            length = fields & 0xFF
+            stop = end + 8 * length
+            if size < stop:
+                raise _truncated(stop, size)
+            payload = (word >> (size - stop)) & ((1 << 8 * length) - 1)
+            return DataFragment(
+                identifier=identifier,
+                offset=(fields >> _FRAGLEN_BITS) & 0xFFFF,
+                payload=payload.to_bytes(length, "big"),
+            )
+        if kind == KIND_NOTIFY:
+            return NotifyFragment(identifier=identifier)
         raise MalformedFragmentError(f"unknown fragment kind {kind}")
 
     def decode_frame(self, frame: "Frame") -> Fragment:

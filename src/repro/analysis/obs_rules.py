@@ -9,8 +9,8 @@ stable across runs, never assembled at runtime.
 
 ========  ==========================================================
 OBS001    a trace/span category argument (``recorder.emit(t, cat)``,
-          ``writer.emit(t, cat)``, ``span(name)`` /
-          ``prof.span(name)``) is not a string literal
+          ``writer.emit(t, cat)``, ``recorder.tally(cat, n)``,
+          ``span(name)`` / ``prof.span(name)``) is not a string literal
 OBS002    a metric name (``inc(name)`` / ``gauge_max(name, v)`` /
           ``observe(name, v, edges)``) is not a string literal, or a
           histogram's ``edges`` argument is not a constant tuple
@@ -48,12 +48,16 @@ from .core import Finding, ModuleContext, Rule, register, walk
 __all__ = ["MetricNameLiteralRule", "TraceCategoryLiteralRule"]
 
 
-def _category_arg(call: ast.Call) -> Optional[ast.expr]:
-    """The category/name argument of a trace-vocabulary call, if any.
+#: trace-vocabulary call -> (position, keyword) of its category argument
+_CATEGORY_ARGS = {
+    "emit": (1, "category"),  # emit(time, category, **fields)
+    "tally": (0, "category"),  # tally(category, n)
+    "span": (0, "name"),  # span(name)
+}
 
-    ``emit`` takes it second (``emit(time, category, **fields)``),
-    ``span`` first (``span(name)``).
-    """
+
+def _category_arg(call: ast.Call) -> Optional[ast.expr]:
+    """The category/name argument of a trace-vocabulary call, if any."""
     func = call.func
     if isinstance(func, ast.Attribute):
         attr = func.attr
@@ -61,19 +65,14 @@ def _category_arg(call: ast.Call) -> Optional[ast.expr]:
         attr = func.id
     else:
         return None
-    if attr == "emit":
-        if len(call.args) >= 2:
-            return call.args[1]
-        for keyword in call.keywords:
-            if keyword.arg == "category":
-                return keyword.value
+    if attr not in _CATEGORY_ARGS:
         return None
-    if attr == "span":
-        if call.args:
-            return call.args[0]
-        for keyword in call.keywords:
-            if keyword.arg == "name":
-                return keyword.value
+    position, name = _CATEGORY_ARGS[attr]
+    if len(call.args) > position:
+        return call.args[position]
+    for keyword in call.keywords:
+        if keyword.arg == name:
+            return keyword.value
     return None
 
 

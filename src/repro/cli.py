@@ -27,17 +27,27 @@ import argparse
 import math
 import sys
 from contextlib import ExitStack
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
-from .core import model
-from .exec import ResultCache, TrialRunner
-from .experiments import figures as figs
-from .experiments.plotting import render_series
 from .experiments.results import Table
 from .obs.metrics import collecting, write_snapshot
 from .obs.spans import profiling
 
+if TYPE_CHECKING:
+    from .exec import TrialRunner
+    from .experiments.figures import FigureResult
+
 __all__ = ["main"]
+
+# Building the parser loads no simulation code (``repro --help`` stays
+# quick): the commands import what they run, and the values argparse
+# needs up front are literals here, pinned to their sources by tests.
+
+#: ``sorted(repro.experiments.report.SCENARIOS)``
+SCENARIO_NAMES = (
+    "codebook", "density-estimation", "density-tracking", "dynamic-alloc",
+    "efficiency", "flooding", "hidden-terminal", "interest", "massive-flow",
+)
 
 
 def _int_at_least(text: str, minimum: int) -> int:
@@ -133,6 +143,8 @@ def _add_instrument_flags(group: "argparse._ActionsContainer") -> None:
 
 
 def _make_runner(args: argparse.Namespace) -> TrialRunner:
+    from .exec import ResultCache, TrialRunner
+
     cache = None
     if getattr(args, "cache_dir", None) and not getattr(args, "no_cache", False):
         cache = ResultCache(args.cache_dir)
@@ -152,7 +164,9 @@ def _finish_exec(runner: TrialRunner, args: argparse.Namespace) -> None:
         print(f"wrote {args.telemetry}", file=sys.stderr)
 
 
-def _print_figure(result: "figs.FigureResult", x_log: bool = False) -> None:
+def _print_figure(result: FigureResult, x_log: bool = False) -> None:
+    from .experiments.plotting import render_series
+
     print(result.table.render())
     print()
     plottable = [s for s in result.series if any(v == v for v in s.y)]
@@ -167,6 +181,8 @@ def _print_figure(result: "figs.FigureResult", x_log: bool = False) -> None:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from .experiments import figures as figs
+
     number = args.number
     if number == 1:
         _print_figure(figs.figure_1())
@@ -191,6 +207,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_model(args: argparse.Namespace) -> int:
+    from .core import model
+
     data_bits = args.data_bits
     density = args.density
     best_bits, best_eff = model.optimal_identifier_bits(data_bits, density)
@@ -223,6 +241,7 @@ def _cmd_model(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .core import model
     from .experiments.harness import CollisionTrialConfig, replicate
 
     runner = _make_runner(args)
@@ -330,6 +349,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_montecarlo(args: argparse.Namespace) -> int:
+    from .core import model
     from .core.montecarlo import (
         ExponentialDuration,
         FixedDuration,
@@ -372,6 +392,8 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
+    from .exec import ResultCache
+
     cache = ResultCache(args.cache_dir)
     if args.action == "stats":
         stats = cache.disk_stats()
@@ -454,10 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_exec_flags(val)
     val.set_defaults(func=_cmd_validate)
 
-    from .experiments.report import SCENARIOS as _scenario_registry
-
     scen = sub.add_parser("scenario", help="run an extension scenario")
-    scen.add_argument("name", choices=sorted(_scenario_registry))
+    scen.add_argument("name", choices=SCENARIO_NAMES)
     scen.add_argument("--duration", type=_positive_float, default=30.0)
     scen.add_argument("--seed", type=int, default=0)
     _add_exec_flags(scen)

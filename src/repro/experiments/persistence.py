@@ -143,10 +143,27 @@ def sweep_from_json(data: Dict[str, Any]) -> SweepResult:
 # ----------------------------------------------------------------------
 # Files
 # ----------------------------------------------------------------------
+def _write_atomic(path: Union[str, pathlib.Path], text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file and a rename.
+
+    A reader sees the previous file or the complete new one, never part
+    of one; a write that fails leaves the previous file and no temp
+    file behind.
+    """
+    target = pathlib.Path(path)
+    tmp = target.with_name(target.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        tmp.replace(target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_json(path: Union[str, pathlib.Path], payload: Dict[str, Any]) -> None:
-    """Write a result payload as stable, diffable JSON."""
-    pathlib.Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Write a result payload as stable, diffable JSON (atomically)."""
+    _write_atomic(
+        path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     )
 
 
@@ -166,16 +183,13 @@ def save_envelope(
     a half-written envelope — crucial for the result cache, which treats
     unreadable entries as corruption.
     """
-    target = pathlib.Path(path)
     data = json.dumps(
         {"schema": SCHEMA_VERSION, "kind": kind, "payload": payload},
         indent=2,
         sort_keys=True,
         allow_nan=False,
     )
-    tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(data + "\n")
-    tmp.replace(target)
+    _write_atomic(path, data + "\n")
 
 
 def load_envelope(path: Union[str, pathlib.Path], kind: str) -> Dict[str, Any]:

@@ -27,6 +27,21 @@ from typing import Any, Dict, Optional
 
 __all__ = ["configure_parser"]
 
+# argparse defaults and choices as literals, so building the parser
+# loads no flow, calibration or simulation module; tests pin each to
+# the constant it copies.
+
+#: ``repro.experiments.figures.FIG4_DEFAULT_ID_BITS``
+FIG4_DEFAULT_ID_BITS = (2, 3, 4, 5, 6, 8, 10)
+#: ``repro.flow.calibrate.DEFAULT_DENSITIES`` and ``DEFAULT_TOLERANCE``
+DEFAULT_DENSITIES = (2.0, 5.0, 16.0)
+DEFAULT_TOLERANCE = 0.05
+#: ``repro.flow.hybrid.DEFAULT_SWITCH_THRESHOLD`` and ``FIDELITY_MODES``
+DEFAULT_SWITCH_THRESHOLD = 8.0
+FIDELITY_MODES = ("flow", "hybrid", "frame")
+#: ``repro.flow.sampler.COLLISION_MODELS``
+COLLISION_MODELS = ("eq4", "mixed")
+
 
 def _write_envelope(
     path: str,
@@ -228,10 +243,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         _non_negative_int,
         _positive_int,
     )
-    from ..experiments.figures import FIG4_DEFAULT_ID_BITS
-    from .calibrate import DEFAULT_DENSITIES, DEFAULT_TOLERANCE
-    from .hybrid import DEFAULT_SWITCH_THRESHOLD, FIDELITY_MODES
-    from .sampler import COLLISION_MODELS
 
     sub = parser.add_subparsers(dest="flow_command", required=True)
 

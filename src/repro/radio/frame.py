@@ -41,7 +41,8 @@ class Frame:
     payload:
         The bytes handed to the radio.  All protocol structure
         (identifiers, offsets, checksums) lives in here — the radio and
-        medium never interpret it.
+        medium never interpret it.  Never reassigned after construction:
+        ``size_bytes`` and ``size_bits`` are fixed from it then.
     origin:
         Ground-truth sender node id (instrumentation; also used by the
         medium to find the sender's neighbours).
@@ -57,6 +58,10 @@ class Frame:
         ``(id_bits, fragment)`` memo of
         :meth:`~repro.aff.wire.FragmentCodec.decode_frame`; not part of
         the frame's identity (no ``__init__``, equality or ``repr``).
+    size_bytes / size_bits:
+        The payload's length in bytes and bits, computed once at
+        construction (every receiver of a transmission reads them);
+        like ``decoded``, not part of ``__init__``, equality or ``repr``.
     """
 
     payload: bytes
@@ -66,9 +71,12 @@ class Frame:
     ground_truth: Any = None
     seq: int = field(default_factory=lambda: next(_frame_seq))
     decoded: Any = field(default=None, init=False, repr=False, compare=False)
+    size_bytes: int = field(init=False, repr=False, compare=False)
+    size_bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        total = 8 * len(self.payload)
+        self.size_bytes = len(self.payload)
+        self.size_bits = total = 8 * self.size_bytes
         if self.header_bits == 0 and self.payload_bits == 0:
             # Caller did not split: count everything as header (conservative).
             self.header_bits = total
@@ -77,14 +85,6 @@ class Frame:
                 f"bit split {self.header_bits}+{self.payload_bits} != "
                 f"{total} payload bits"
             )
-
-    @property
-    def size_bytes(self) -> int:
-        return len(self.payload)
-
-    @property
-    def size_bits(self) -> int:
-        return 8 * len(self.payload)
 
     def __repr__(self) -> str:
         return (

@@ -180,9 +180,14 @@ class BroadcastMedium:
         self.stats.frames_sent += 1
         if self._metrics is not None:
             self._metrics.inc("radio.frames_tx")
-        self.recorder.emit(
-            start, "frame.tx", origin=frame.origin, seq=frame.seq, bits=frame.size_bits
-        )
+        recorder = self.recorder
+        if isinstance(recorder, NullRecorder):
+            recorder.tally("frame.tx", 1)
+        else:
+            recorder.emit(
+                start, "frame.tx", origin=frame.origin, seq=frame.seq,
+                bits=frame.size_bits,
+            )
         # Snapshot the audience now: churn during flight should not add
         # listeners that were not present at transmission time.
         audience = list(self.topology.neighbors(frame.origin))
@@ -196,36 +201,55 @@ class BroadcastMedium:
         metrics = self._metrics
         radios = self._radios
         stats = self.stats
-        emit = self.recorder.emit
+        recorder = self.recorder
+        # A recorder that keeps no records is charged its ``frame.rx``
+        # count once per frame, and ``emit_rx`` is None.
+        emit_rx = None if isinstance(recorder, NullRecorder) else recorder.emit
+        delivered = 0
+        rf_collisions = self.rf_collisions
+        # The default PerfectChannel never drops and draws nothing.
+        lossy = self._channel_factory is not None
+        rng = self.rng
         frame = txn.frame
         origin = frame.origin
         seq = frame.seq
+        bits = frame.size_bits
         now = self.sim.now
         for receiver in audience:
             radio = radios.get(receiver)
             if radio is None:
                 stats.out_of_range += 1
                 continue
-            if self.rf_collisions and self._corrupted_at(txn, receiver):
+            if rf_collisions and self._corrupted_at(txn, receiver):
                 stats.rf_collision_drops += 1
                 if metrics is not None:
                     metrics.inc("radio.rf_collisions")
-                emit(now, "frame.drop", reason="rf_collision",
-                     origin=origin, receiver=receiver, seq=seq)
-                continue
-            if not self.channel_for(origin, receiver).deliver(self.rng):
+                reason = "rf_collision"
+            elif lossy and not self.channel_for(origin, receiver).deliver(rng):
                 stats.channel_drops += 1
                 if metrics is not None:
                     metrics.inc("radio.channel_drops")
-                emit(now, "frame.drop", reason="channel",
-                     origin=origin, receiver=receiver, seq=seq)
+                reason = "channel"
+            else:
+                stats.deliveries += 1
+                if metrics is not None:
+                    metrics.inc("radio.frames_rx")
+                if emit_rx is None:
+                    delivered += 1
+                else:
+                    emit_rx(now, "frame.rx", origin=origin, receiver=receiver,
+                            seq=seq, bits=bits)
+                radio._deliver(frame)
                 continue
-            stats.deliveries += 1
-            if metrics is not None:
-                metrics.inc("radio.frames_rx")
-            emit(now, "frame.rx", origin=origin, receiver=receiver, seq=seq,
-                 bits=frame.size_bits)
-            radio._deliver(frame)
+            if delivered:
+                # Settle the deliveries before this drop, so the
+                # counters meet their categories in event order.
+                recorder.tally("frame.rx", delivered)
+                delivered = 0
+            recorder.emit(now, "frame.drop", reason=reason,
+                          origin=origin, receiver=receiver, seq=seq)
+        if delivered:
+            recorder.tally("frame.rx", delivered)
         self._active.remove(txn)
         self._recent.append(txn)
         self._prune_recent()

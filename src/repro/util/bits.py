@@ -2,9 +2,11 @@
 
 The paper's whole argument is about *bits*: a 9-bit AFF identifier vs a
 16- or 32-bit static address.  Byte-aligned encodings would round those
-savings away, so the AFF wire format bit-packs its headers.
+savings away, so the wire formats bit-pack their headers.
 :class:`BitWriter` and :class:`BitReader` provide MSB-first bit streams
-over bytes, with explicit padding on flush.
+over bytes, with explicit padding on flush, for the static-address
+baseline and the application codecs (the AFF fragment codec, on the
+Figure-4 hot path, packs its fixed layout as one integer itself).
 
 Both work on whole words rather than bit chunks.  The writer keeps the
 stream as one integer and appends a field with a shift and an OR;

@@ -371,6 +371,24 @@ class TestObservabilityRules:
         )
         assert findings == []
 
+    def test_obs001_allows_literal_tally_category(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            "def run(recorder, delivered):\n"
+            "    recorder.tally('frame.rx', delivered)\n",
+        )
+        assert findings == []
+
+    def test_obs001_flags_computed_tally_category(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            "def run(recorder, kind, delivered):\n"
+            "    recorder.tally('frame.' + kind, delivered)\n"
+            "    recorder.tally(category=kind, n=delivered)\n",
+        )
+        assert rule_ids(findings) == ["OBS001", "OBS001"]
+        assert [finding.line for finding in findings] == [2, 3]
+
     def test_obs001_ignores_unrelated_calls(self, tmp_path):
         findings = lint_source(
             tmp_path,

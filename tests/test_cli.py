@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import importlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -18,6 +20,37 @@ class TestParser:
     def test_scenario_names_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["scenario", "nonsense"])
+
+
+class TestParserLiterals:
+    """The parser's copies of library constants (kept literal so
+    building it imports no simulation code) match their sources."""
+
+    def test_scenario_names(self):
+        from repro import cli
+        from repro.experiments.report import SCENARIOS
+
+        assert cli.SCENARIO_NAMES == tuple(sorted(SCENARIOS))
+
+    def test_flow_defaults(self):
+        # By module path: the ``repro.flow`` package exports a
+        # ``calibrate`` function that shadows its module.
+        figures, calibrate, cli, hybrid, sampler = (
+            importlib.import_module(name)
+            for name in (
+                "repro.experiments.figures",
+                "repro.flow.calibrate",
+                "repro.flow.cli",
+                "repro.flow.hybrid",
+                "repro.flow.sampler",
+            )
+        )
+        assert cli.FIG4_DEFAULT_ID_BITS == figures.FIG4_DEFAULT_ID_BITS
+        assert cli.DEFAULT_DENSITIES == calibrate.DEFAULT_DENSITIES
+        assert cli.DEFAULT_TOLERANCE == calibrate.DEFAULT_TOLERANCE
+        assert cli.DEFAULT_SWITCH_THRESHOLD == hybrid.DEFAULT_SWITCH_THRESHOLD
+        assert cli.FIDELITY_MODES == hybrid.FIDELITY_MODES
+        assert cli.COLLISION_MODELS == sampler.COLLISION_MODELS
 
 
 class TestAnalyticCommands:

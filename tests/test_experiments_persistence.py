@@ -1,6 +1,7 @@
 """Tests for JSON persistence of experiment results."""
 
 import math
+import pathlib
 
 import pytest
 
@@ -8,7 +9,9 @@ from repro.experiments.figures import figure_1
 from repro.experiments.persistence import (
     figure_from_json,
     figure_to_json,
+    load_envelope,
     load_json,
+    save_envelope,
     save_json,
     series_from_json,
     series_to_json,
@@ -88,3 +91,45 @@ class TestFileIO:
         save_json(a, figure_to_json(fig))
         save_json(b, figure_to_json(figure_1()))
         assert a.read_text() == b.read_text()
+
+
+def _fail_part_way(monkeypatch):
+    """Make every ``Path.write_text`` write half its text, then fail."""
+
+    def write_half(self, data, *args, **kwargs):
+        with open(self, "w") as handle:
+            handle.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(pathlib.Path, "write_text", write_half)
+
+
+class TestAtomicWrites:
+    def test_failed_save_json_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "result.json"
+        save_json(path, {"value": 1})
+        before = path.read_bytes()
+        _fail_part_way(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            save_json(path, {"value": 2, "more": list(range(100))})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert load_json(path) == {"value": 1}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["result.json"]
+
+    def test_failed_first_save_json_leaves_nothing(self, tmp_path, monkeypatch):
+        _fail_part_way(monkeypatch)
+        with pytest.raises(OSError):
+            save_json(tmp_path / "result.json", {"value": 2})
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_save_envelope_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "entry.json"
+        save_envelope(path, "thing", {"value": 1})
+        _fail_part_way(monkeypatch)
+        with pytest.raises(OSError):
+            save_envelope(path, "thing", {"value": 2})
+        monkeypatch.undo()
+        assert load_envelope(path, "thing") == {"value": 1}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["entry.json"]

@@ -73,6 +73,19 @@ def test_harness_loads_neither_numpy_nor_flow():
     assert not {m for m in loaded if m.startswith("repro.flow")}
 
 
+def test_parser_loads_no_simulation_code():
+    """``repro --help`` (and every command before it dispatches) builds
+    the parser; the commands import what they run."""
+    loaded = loaded_after("from repro.cli import build_parser; build_parser()")
+    assert "numpy" not in loaded
+    for module in (
+        "repro.experiments.report",
+        "repro.experiments.harness",
+        "repro.flow.calibrate",
+    ):
+        assert module not in loaded
+
+
 def test_every_export_resolves_from_its_table():
     problems = fresh("""
         import importlib, json, pkgutil

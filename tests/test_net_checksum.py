@@ -75,6 +75,43 @@ class TestProperties:
             assert algo(data) == algo(data)
 
 
+def _loop_fletcher16(data: bytes) -> int:
+    """The byte-at-a-time Fletcher-16: the oracle for the closed form."""
+    c0 = 0
+    c1 = 0
+    for byte in data:
+        c0 = (c0 + byte) % 255
+        c1 = (c1 + c0) % 255
+    return (c1 << 8) | c0
+
+
+class TestFletcherMatchesLoopOracle:
+    @given(st.binary(max_size=4096))
+    def test_random_bytes(self, data):
+        assert fletcher16(data) == _loop_fletcher16(data)
+
+    @given(st.integers(min_value=0, max_value=2048), st.binary(max_size=8))
+    def test_runs_of_0xff(self, run, tail):
+        # 0xFF is 0 modulo 255: a run of them leaves c0 still and
+        # grows c1 by c0 each byte.
+        data = tail + b"\xff" * run + tail
+        assert fletcher16(data) == _loop_fletcher16(data)
+
+    @pytest.mark.parametrize("size", [0, 1, 254, 255, 256, 4095, 65535, 65536])
+    def test_lengths_up_to_64_kib(self, size):
+        for fill in (b"\x00", b"\xff", b"\x80"):
+            data = fill * size
+            assert fletcher16(data) == _loop_fletcher16(data)
+        patterned = bytes(range(256)) * (size // 256) + bytes(range(size % 256))
+        assert fletcher16(patterned) == _loop_fletcher16(patterned)
+
+    @given(st.binary(min_size=1, max_size=32))
+    def test_bytearray_and_memoryview_inputs(self, data):
+        want = _loop_fletcher16(data)
+        assert fletcher16(bytearray(data)) == want
+        assert fletcher16(memoryview(data)) == want
+
+
 class TestLookup:
     def test_lookup_all_names(self):
         assert checksum_by_name("fletcher16") is fletcher16

@@ -1,16 +1,21 @@
 """Unit tests for the broadcast medium."""
 
+import hashlib
+import itertools
 import random
 
 import pytest
 
+from repro.experiments.harness import CollisionTrialConfig, run_collision_trial
+from repro.obs.envelope import TraceWriter, _record_line
+from repro.radio import frame as frame_module
 from repro.radio.channel import BernoulliChannel
 from repro.radio.frame import Frame
 from repro.radio.mac import AlohaMac
 from repro.radio.medium import BroadcastMedium
 from repro.radio.radio import Radio
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import NullRecorder, TraceRecorder
 from repro.topology.graphs import ExplicitGraph, FullMesh, Line
 
 
@@ -223,3 +228,97 @@ class TestTracing:
         sim.run()
         assert recorder.count("frame.tx") == 1
         assert recorder.count("frame.rx") == 1
+
+
+#: sha256 of a full TraceRecorder's record lines (the trace file's line
+#: form) for the 2 s Figure-4 trials below, pinned before count-only
+#: recorders were charged per frame.  Frame records carry no AFF
+#: identifier and these trials have no RF collisions, so the uniform
+#: and listening selectors put the same frames on the air.
+FIG4_RECORD_SHA256 = "653691923ae0acf5d5607ad9bb567c40424ae4bb45df0e7e9b5c37532f33f9b8"
+
+
+def _fresh_trial(monkeypatch, config, recorder=None):
+    """``run_collision_trial`` numbering frames from 1, as a fresh
+    process does (frame ``seq`` is process-wide and lands in records)."""
+    monkeypatch.setattr(frame_module, "_frame_seq", itertools.count(1))
+    return run_collision_trial(config, recorder=recorder)
+
+
+def _trial_under_recorders(monkeypatch, config):
+    """The trial's result and ``emitted_counts()`` items per recorder."""
+    recorders = [
+        NullRecorder(),
+        TraceRecorder(),
+        TraceRecorder(categories={"frame.tx"}),
+    ]
+    outcomes = [
+        (_fresh_trial(monkeypatch, config, recorder),
+         list(recorder.emitted_counts().items()))
+        for recorder in recorders
+    ]
+    return recorders, outcomes
+
+
+class TestRecorderEquivalence:
+    """A recorder that keeps no records is charged once per frame; one
+    that keeps records gets every record.  Neither changes the run, and
+    the counters (including the order categories first appear in) are
+    the same either way."""
+
+    @pytest.mark.parametrize("selector", ["uniform", "listening"])
+    def test_figure_4_trial(self, selector, tmp_path, monkeypatch):
+        config = CollisionTrialConfig(
+            id_bits=6, n_senders=5, duration=2.0, selector=selector, seed=0
+        )
+        recorders, outcomes = _trial_under_recorders(monkeypatch, config)
+        null, full, filtered = recorders
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0][0] == run_collision_trial(config)
+        assert null.emitted_counts()["frame.rx"] > 0
+        lines = "".join(_record_line(record) + "\n" for record in full)
+        digest = hashlib.sha256(lines.encode()).hexdigest()
+        assert digest == FIG4_RECORD_SHA256
+        assert filtered.records == full.select("frame.tx")
+        assert len(null) == 0
+
+        # A streaming writer is a recorder that keeps records too.
+        path = tmp_path / "trial.jsonl"
+        with TraceWriter(path) as writer:
+            assert _fresh_trial(monkeypatch, config, writer) == outcomes[0][0]
+        written = path.read_text().splitlines(keepends=True)[1:-1]
+        assert hashlib.sha256("".join(written).encode()).hexdigest() == digest
+
+    def test_drop_after_a_delivery_keeps_counter_order(self):
+        # Receiver 2's link always drops: one fan-out delivers to 1,
+        # drops at 2, delivers to 3.
+        counts = []
+        for recorder in (NullRecorder(), TraceRecorder()):
+            sim, medium = build(
+                FullMesh(range(4)),
+                recorder=recorder,
+                channel_factory=lambda sender, receiver: BernoulliChannel(
+                    1.0 if receiver == 2 else 0.0
+                ),
+            )
+            radios = [Radio(medium, i) for i in range(4)]
+            radios[0].send(Frame(payload=b"hello", origin=0))
+            sim.run()
+            counts.append(list(recorder.emitted_counts().items()))
+        assert counts[0] == counts[1]
+        assert counts[1] == [("frame.tx", 1), ("frame.rx", 2), ("frame.drop", 1)]
+
+    def test_drops_between_deliveries_keep_counter_order(self, monkeypatch):
+        # RF collisions and a lossy channel interleave drops with
+        # deliveries inside one frame's fan-out.
+        config = CollisionTrialConfig(
+            id_bits=6, n_senders=3, duration=2.0, seed=3, rf_collisions=True,
+            channel_factory=lambda sender, receiver: BernoulliChannel(0.1),
+        )
+        _recorders, outcomes = _trial_under_recorders(monkeypatch, config)
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        result = outcomes[0][0]
+        assert result.received_unique > 0
+        assert result.frames_dropped_rf > 0
+        assert result.frames_dropped_channel > 0
+        assert result.frames_delivered > 0

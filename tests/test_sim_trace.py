@@ -85,3 +85,30 @@ class TestNullRecorder:
             rec.emit(0.0, "frame.tx", bits=216)
         assert len(rec) == 0
         assert rec.count("frame.tx") == 100
+
+    def test_tally_is_n_emits_in_one(self):
+        by_emit, by_tally = NullRecorder(), NullRecorder()
+        for _ in range(5):
+            by_emit.emit(0.0, "frame.rx", bits=216)
+        by_emit.emit(0.0, "frame.drop")
+        by_tally.tally("frame.rx", 5)
+        by_tally.tally("frame.drop", 1)
+        assert list(by_tally.emitted_counts().items()) == list(
+            by_emit.emitted_counts().items()
+        )
+        assert len(by_tally) == 0
+        assert by_tally.recorded_counts() == {}
+
+    def test_tally_of_zero_adds_no_category(self):
+        rec = NullRecorder()
+        rec.tally("frame.rx", 0)
+        assert rec.emitted_counts() == {}
+
+
+class TestTally:
+    def test_counts_without_storing(self):
+        rec = TraceRecorder()
+        rec.tally("frame.rx", 3)
+        assert rec.count("frame.rx") == 3
+        assert len(rec) == 0
+        assert rec.recorded_counts() == {}

@@ -1,7 +1,5 @@
 """Unit, property and differential tests for MSB-first bit packing."""
 
-from unittest import mock
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +7,8 @@ from hypothesis import strategies as st
 from repro.aff import wire
 from repro.aff.wire import FragmentCodec, MalformedFragmentError
 from repro.util.bits import BitReader, BitWriter, BitstreamError
+
+from .wire_oracle import OracleCodec
 
 
 class TestBitWriter:
@@ -272,8 +272,7 @@ def _decode(codec, frame):
 
 
 def _oracle_decode(codec, frame):
-    with mock.patch.object(wire, "BitReader", _ChunkReader):
-        return _decode(codec, frame)
+    return _decode(OracleCodec(codec.id_bits, reader=_ChunkReader), frame)
 
 
 @st.composite
