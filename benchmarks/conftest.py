@@ -13,9 +13,10 @@ any worker count; see ``docs/parallel.md``).
 
 Rendered tables are written to ``benchmarks/results/*.txt``; each
 published result also gets a machine-readable ``BENCH_<name>.json``
-next to it (versioned envelope, schema 1) holding the run's key
-observables plus — once the session ends — pytest-benchmark's timing
-stats for the test that published it.
+next to it (versioned envelope, schema 1, non-finite values tagged by
+``repro.util.codec``) holding the run's key observables plus — once
+the session ends — pytest-benchmark's timing stats for the test that
+published it.
 """
 
 import math
@@ -39,17 +40,6 @@ WORKERS = int(os.environ.get("REPRO_WORKERS", "1") or 1)
 
 #: test nodeid -> names it published (for merging timing stats in)
 _PUBLISHED_BY_TEST = {}
-
-
-def _jsonable(value):
-    """Scrub a metrics value for strict JSON (NaN/inf become None)."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 def _bench_json_path(results_dir, name):
@@ -78,7 +68,7 @@ def _write_bench_json(results_dir, name, metrics):
             "workers": WORKERS,
         },
         "host": _host(),
-        "metrics": _jsonable(dict(metrics or {})),
+        "metrics": dict(metrics or {}),
     }
     save_envelope(_bench_json_path(results_dir, name), "benchmark", payload)
 
@@ -95,9 +85,8 @@ def trial_runner():
 
     The test runs under an installed span profiler, which the runner
     carries into every trial, so published telemetry carries the
-    per-layer wall-time breakdown (``layer_times``) that bench-trend
-    folds into TREND.jsonl.  Profiling is observational — simulated
-    results are bit-identical with it off.
+    per-layer wall-time breakdown (``layer_times``).  Profiling is
+    observational — simulated results are bit-identical with it off.
     """
     from repro.exec import TrialRunner
     from repro.obs.spans import profiling

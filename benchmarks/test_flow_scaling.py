@@ -21,9 +21,8 @@ scenario family it ships with:
   core; the bit-identity is what must hold everywhere).
 
 Published metrics carry ``wall_time``, a ``layer_times`` breakdown and
-a ``telemetry`` block (worker utilization/tasks), so ``repro
-bench-trend`` tracks the wall time, where it went, and how evenly the
-shards spread.
+a ``telemetry`` block (worker utilization/tasks): the wall time, where
+it went, and how evenly the shards spread.
 """
 
 from conftest import FULL_FIDELITY

@@ -5,8 +5,7 @@ regressions in the simulator or codec are caught: event-queue rate,
 fragmentation/reassembly throughput, selector draw rate, the analytic
 model's sweep speed, and the Monte Carlo single-trial path (fast event
 core vs the pre-optimisation implementation).  The Monte Carlo benchmark publishes ``micro_throughput``
-(→ ``micro_throughput.txt`` + ``BENCH_micro_throughput.json``), which
-``python -m repro bench-trend`` tracks across runs.
+(→ ``micro_throughput.txt`` + ``BENCH_micro_throughput.json``).
 """
 
 import itertools
@@ -277,7 +276,7 @@ def test_montecarlo_trial_throughput(benchmark, publish):
 
     * the frozen pre-optimisation implementation above;
     * the current fast event core (also timed by pytest-benchmark, so
-      its mean feeds ``bench-trend``) — asserted bit-identical to the
+      its mean lands in the BENCH json) — asserted bit-identical to the
       baseline.
     """
     from repro.core.montecarlo import ExponentialDuration, simulate_collision_rate
@@ -300,7 +299,7 @@ def test_montecarlo_trial_throughput(benchmark, publish):
     assert fast_result == seed_result, "fast core must be bit-identical"
     speedup = seed_wall / fast_wall
 
-    # timing stream for bench-trend: the fast core, measured properly
+    # pytest-benchmark timing of the fast core, measured properly
     bench_result = benchmark(run_fast)
     assert bench_result == seed_result
 

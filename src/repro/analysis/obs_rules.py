@@ -2,8 +2,8 @@
 
 Trace categories and span names are the *schema* of the observability
 layer: ``repro obs summary`` groups records by category, span summaries
-from different runs are compared field-by-field, and ``bench-trend``
-folds span names into layer buckets by their first dotted component.
+from different runs are compared field-by-field, and layer breakdowns
+fold span names into buckets by their first dotted component.
 That only works when the vocabulary is closed — discoverable by grep,
 stable across runs, never assembled at runtime.
 

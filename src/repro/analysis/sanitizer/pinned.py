@@ -29,6 +29,8 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
+from ...util import codec
+
 __all__ = ["PinnedScenario", "SCENARIOS", "canonical_result", "main"]
 
 
@@ -100,14 +102,7 @@ def preload_scenario_modules() -> None:
 
 def canonical_result(result: Mapping[str, Any]) -> str:
     """One canonical line for a result dict (deterministic bytes)."""
-    from ...exec.runner import encode_jsonable
-
-    return json.dumps(
-        encode_jsonable(dict(result)),
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-    )
+    return codec.dumps(dict(result))
 
 
 def resolve_scenario(spec: str) -> PinnedScenario:

@@ -416,25 +416,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_trend(args: argparse.Namespace) -> int:
-    import pathlib
-
-    from .experiments import trend
-
-    results = pathlib.Path(args.results)
-    history = (
-        pathlib.Path(args.history)
-        if args.history
-        else results / trend.HISTORY_NAME
-    )
-    if args.record:
-        recorded = trend.record_snapshot(results, history)
-        print(f"recorded {recorded} benchmark(s) into {history}", file=sys.stderr)
-    report = trend.analyze(trend.load_history(history), threshold=args.threshold)
-    print(report.render())
-    return 1 if report.regressions else 0
-
-
 def _cmd_lint_argv(lint_args: Sequence[str]) -> int:
     # Deferred import: the analysis package registers every rule pack on
     # import, which `repro figure` never needs.
@@ -545,25 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
         "repro version (the default and only policy)",
     )
     cch.set_defaults(func=_cmd_cache)
-
-    trd = sub.add_parser(
-        "bench-trend",
-        help="compare accumulated BENCH_*.json timings, flag regressions",
-    )
-    trd.add_argument("--results", default="benchmarks/results",
-                     help="directory holding BENCH_*.json envelopes")
-    trd.add_argument("--history", default=None,
-                     help="JSONL history file (default: TREND.jsonl "
-                     "under --results)")
-    trd.add_argument("--threshold", type=float, default=0.25,
-                     help="relative slowdown flagged as a regression")
-    trd.add_argument("--record", dest="record", action="store_true",
-                     default=True,
-                     help="append the current BENCH files to the history "
-                     "before comparing (default)")
-    trd.add_argument("--no-record", dest="record", action="store_false",
-                     help="compare the existing history only")
-    trd.set_defaults(func=_cmd_bench_trend)
 
     met = sub.add_parser(
         "metrics",

@@ -10,10 +10,10 @@ Entries are versioned envelopes (see
 old files unreadable-as-envelopes rather than silently mis-parsed;
 unreadable or mismatched entries are deleted and recomputed.
 
-Values are stored in transport encoding (:func:`repro.exec.runner`'s
-JSON-safe form), which is exactly what workers ship over their result
-pipes — a cache hit and a fresh computation are therefore
-indistinguishable to the caller, byte for byte.
+Values are stored in the one JSON encoding (:mod:`repro.util.codec`),
+which is exactly what workers ship over their result pipes — a cache
+hit and a fresh computation are therefore indistinguishable to the
+caller, byte for byte.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class ResultCache:
 
     # ------------------------------------------------------------------
     def get(self, key: str) -> Tuple[bool, Any]:
-        """``(hit, transport-encoded value)`` for ``key``.
+        """``(hit, value)`` for ``key``, decoded by the envelope reader.
 
         A corrupted entry — truncated file, wrong schema, foreign kind,
         or a key mismatch from a hash truncation bug — counts as a miss,

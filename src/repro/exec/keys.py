@@ -21,12 +21,11 @@ module defines that identity.
 from __future__ import annotations
 
 import hashlib
-import json
-import math
 from dataclasses import fields, is_dataclass
 from typing import Any, Mapping
 
 from ..sim.rng import derive_seed
+from ..util import codec
 
 __all__ = [
     "canonical_point",
@@ -36,27 +35,22 @@ __all__ = [
 ]
 
 #: Bump when the canonical encoding itself changes (invalidates all keys).
-KEY_SCHEMA = 1
+KEY_SCHEMA = 2
 
 
 def canonical_value(value: Any) -> Any:
     """A JSON-stable stand-in for ``value``.
 
-    Primitives pass through; non-finite floats become tagged strings;
+    Primitives go through :func:`repro.util.codec.encode` (only a
+    non-finite float changes: it takes the codec's tag);
     sequences and mappings recurse (mappings with sorted keys);
     callables are named by module-qualified name (their *identity*, not
     their address); dataclasses flatten to their field dict.  Anything
     else falls back to ``type:repr`` — stable only as far as the type's
     ``__repr__`` is, which is the caller's contract to keep.
     """
-    if value is None or isinstance(value, (str, int, bool)):
-        return value
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "float:nan"
-        if math.isinf(value):
-            return f"float:{value!r}"
-        return value
+    if value is None or isinstance(value, (str, int, float)):
+        return codec.encode(value)
     if isinstance(value, (list, tuple)):
         return [canonical_value(item) for item in value]
     if isinstance(value, Mapping):
@@ -76,8 +70,7 @@ def canonical_value(value: Any) -> Any:
 
 def canonical_point(params: Mapping[str, Any]) -> str:
     """Canonical string form of one grid point's parameters."""
-    encoded = {str(key): canonical_value(params[key]) for key in sorted(params)}
-    return json.dumps(encoded, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return codec.dumps({str(key): canonical_value(params[key]) for key in params})
 
 
 def derive_trial_seed(base_seed: int, point: str, k: int) -> int:
@@ -105,16 +98,13 @@ def trial_key(fn_name: str, params: Mapping[str, Any], seed: Any, version: str) 
     the seed, or the package version yields a different key — stale
     results are never *invalidated*, they are simply never found.
     """
-    material = json.dumps(
+    material = codec.dumps(
         {
             "schema": KEY_SCHEMA,
             "fn": fn_name,
             "params": canonical_value(dict(params)),
             "seed": canonical_value(seed),
             "version": version,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
+        }
     )
     return hashlib.sha256(material.encode("utf-8")).hexdigest()

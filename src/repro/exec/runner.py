@@ -53,6 +53,7 @@ from .. import instruments
 from ..analysis.sanitizer.runtime import state_snapshot
 from ..obs.metrics import MetricsRegistry
 from ..obs.spans import SpanProfiler
+from ..util import codec
 from .cache import ResultCache
 from .telemetry import RunTelemetry, TrialRecord
 
@@ -63,8 +64,6 @@ __all__ = [
     "TrialRunner",
     "TrialSpec",
     "TrialTimeout",
-    "decode_jsonable",
-    "encode_jsonable",
     "execute_call",
 ]
 
@@ -75,33 +74,6 @@ class ExecError(RuntimeError):
 
 class TrialTimeout(Exception):
     """A trial exceeded its per-attempt deadline."""
-
-
-# ----------------------------------------------------------------------
-# Transport encoding: JSON with non-finite floats tagged unambiguously
-# ----------------------------------------------------------------------
-def encode_jsonable(value: Any) -> Any:
-    """Encode ``value`` for the result pipe / cache (JSON, no NaN)."""
-    if isinstance(value, float) and value != value:
-        return {"__float__": "nan"}
-    if isinstance(value, float) and value in (float("inf"), float("-inf")):
-        return {"__float__": repr(value)}
-    if isinstance(value, (list, tuple)):
-        return [encode_jsonable(item) for item in value]
-    if isinstance(value, dict):
-        return {str(key): encode_jsonable(item) for key, item in value.items()}
-    return value
-
-
-def decode_jsonable(value: Any) -> Any:
-    """Invert :func:`encode_jsonable`."""
-    if isinstance(value, dict):
-        if set(value) == {"__float__"}:
-            return float(value["__float__"])
-        return {key: decode_jsonable(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [decode_jsonable(item) for item in value]
-    return value
 
 
 # ----------------------------------------------------------------------
@@ -232,15 +204,14 @@ def execute_call(
         try:
             with _deadline(timeout), instruments.installed(trial):
                 value = fn(**dict(kwargs))
-            encoded = encode_jsonable(value)
-            text = json.dumps(encoded, allow_nan=False)  # transportability gate
+            encoded, plain = codec.transport(value)
             message: Dict[str, Any] = {
                 "ok": True,
                 "value": encoded,
                 "duration": time.perf_counter() - t0,
                 "attempts": attempts,
             }
-            if '"__float__"' not in text:
+            if plain:
                 message["plain"] = True
         except Exception as exc:
             if attempts <= retries:
@@ -388,7 +359,7 @@ class TrialRunner:
                     if registry is not None:
                         registry.inc("exec.cache_hits")
                     outcomes[index] = TrialOutcome(
-                        value=decode_jsonable(stored), ok=True, cached=True
+                        value=stored, ok=True, cached=True
                     )
                     continue
                 telemetry.cache_misses += 1
@@ -565,7 +536,7 @@ class TrialRunner:
                     value=(
                         message["value"]
                         if message.get("plain")
-                        else decode_jsonable(message["value"])
+                        else codec.decode(message["value"])
                     ),
                     ok=True,
                     duration=float(message["duration"]),

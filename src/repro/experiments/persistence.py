@@ -3,18 +3,19 @@
 Recorded runs should be comparable across machines and months; these
 helpers serialise the result containers to plain JSON (round-trippable,
 no pickle) so `python -m repro report` output can be archived and
-diffed.  NaN is encoded as the string ``"nan"`` — JSON has no NaN, and
-silently emitting invalid JSON (Python's default) would poison
-downstream tooling.
+diffed.  Every file goes through :mod:`repro.util.codec`: a non-finite
+float anywhere in a payload is written as the codec's tag (JSON has no
+NaN, and silently emitting invalid JSON, Python's default, would poison
+downstream tooling), and the loaders read it back as a float.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import pathlib
 from typing import Any, Dict, Union
 
+from ..util import codec
 from .figures import FigureResult
 from .results import Series, Table
 from .sweep import SweepPoint, SweepResult
@@ -44,42 +45,26 @@ class EnvelopeError(ValueError):
     """A persisted file is not a readable envelope of the expected kind."""
 
 
-def _encode_float(value: float):
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
-    return value
-
-
-def _decode_float(value) -> float:
-    if value == "nan":
-        return float("nan")
-    return float(value)
-
-
 # ----------------------------------------------------------------------
 # Series
 # ----------------------------------------------------------------------
 def series_to_json(series: Series) -> Dict[str, Any]:
     out: Dict[str, Any] = {
         "label": series.label,
-        "x": [_encode_float(float(v)) for v in series.x],
-        "y": [_encode_float(float(v)) for v in series.y],
+        "x": [float(v) for v in series.x],
+        "y": [float(v) for v in series.y],
     }
     if series.yerr is not None:
-        out["yerr"] = [_encode_float(float(v)) for v in series.yerr]
+        out["yerr"] = [float(v) for v in series.yerr]
     return out
 
 
 def series_from_json(data: Dict[str, Any]) -> Series:
     return Series(
         label=data["label"],
-        x=[_decode_float(v) for v in data["x"]],
-        y=[_decode_float(v) for v in data["y"]],
-        yerr=(
-            [_decode_float(v) for v in data["yerr"]]
-            if "yerr" in data
-            else None
-        ),
+        x=[float(v) for v in data["x"]],
+        y=[float(v) for v in data["y"]],
+        yerr=[float(v) for v in data["yerr"]] if "yerr" in data else None,
     )
 
 
@@ -117,9 +102,9 @@ def sweep_to_json(sweep: SweepResult) -> Dict[str, Any]:
         "points": [
             {
                 "params": point.params,
-                "values": [_encode_float(v) for v in point.values],
-                "mean": _encode_float(point.mean),
-                "stdev": _encode_float(point.stdev),
+                "values": list(point.values),
+                "mean": point.mean,
+                "stdev": point.stdev,
             }
             for point in sweep.points
         ],
@@ -132,9 +117,9 @@ def sweep_from_json(data: Dict[str, Any]) -> SweepResult:
         result.points.append(
             SweepPoint(
                 params=dict(entry["params"]),
-                values=[_decode_float(v) for v in entry["values"]],
-                mean=_decode_float(entry["mean"]),
-                stdev=_decode_float(entry["stdev"]),
+                values=[float(v) for v in entry["values"]],
+                mean=float(entry["mean"]),
+                stdev=float(entry["stdev"]),
             )
         )
     return result
@@ -162,13 +147,11 @@ def _write_atomic(path: Union[str, pathlib.Path], text: str) -> None:
 
 def save_json(path: Union[str, pathlib.Path], payload: Dict[str, Any]) -> None:
     """Write a result payload as stable, diffable JSON (atomically)."""
-    _write_atomic(
-        path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    )
+    _write_atomic(path, codec.dumps(payload, indent=2) + "\n")
 
 
 def load_json(path: Union[str, pathlib.Path]) -> Dict[str, Any]:
-    return json.loads(pathlib.Path(path).read_text())
+    return codec.loads(pathlib.Path(path).read_text())
 
 
 # ----------------------------------------------------------------------
@@ -183,11 +166,8 @@ def save_envelope(
     a half-written envelope — crucial for the result cache, which treats
     unreadable entries as corruption.
     """
-    data = json.dumps(
-        {"schema": SCHEMA_VERSION, "kind": kind, "payload": payload},
-        indent=2,
-        sort_keys=True,
-        allow_nan=False,
+    data = codec.dumps(
+        {"schema": SCHEMA_VERSION, "kind": kind, "payload": payload}, indent=2
     )
     _write_atomic(path, data + "\n")
 
@@ -215,4 +195,4 @@ def load_envelope(path: Union[str, pathlib.Path], kind: str) -> Dict[str, Any]:
     payload = data.get("payload")
     if not isinstance(payload, dict):
         raise EnvelopeError(f"{path}: envelope payload is not an object")
-    return payload
+    return codec.decode(payload)

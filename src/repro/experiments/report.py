@@ -189,11 +189,7 @@ def generate_report(
         text_path.write_text(table.render() + "\n")
         written.append(text_path)
         json_path = out / f"{stem}.json"
-        save_json(
-            json_path,
-            {k: (None if isinstance(v, float) and math.isnan(v) else v)
-             for k, v in outcome.items()},
-        )
+        save_json(json_path, dict(outcome))
         written.append(json_path)
         index_lines.append(f"- [{name}]({stem}.txt): {description}")
 

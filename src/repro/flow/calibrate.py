@@ -409,6 +409,10 @@ def calibrate(
     each flow replicate's window plan across the runner (see
     :func:`replicate_flow`); the report is bit-identical either way.
     """
+    if not window <= horizon:
+        raise ValueError(f"horizon {horizon} is shorter than the window {window}")
+    if not switch_threshold > 0:
+        raise ValueError(f"switch_threshold must be positive, got {switch_threshold}")
     runner = runner if runner is not None else TrialRunner()
     points: List[CalibrationPoint] = []
     for id_bits in id_bits_grid:

@@ -20,8 +20,6 @@ helpers are imported at call time so the modules stay cycle-free.
 from __future__ import annotations
 
 import argparse
-import json
-import pathlib
 import sys
 from typing import Any, Dict, Optional
 
@@ -53,9 +51,9 @@ def _write_envelope(
 
     Same envelope machinery (:mod:`repro.experiments.persistence`) and
     the same span-table / layer-breakdown fields, so ``repro obs top``
-    and the bench-trend tooling read flow summaries unchanged.  The
-    spans are the installed profiler's (``--profile``), which the
-    runner's trials have merged into.
+    reads flow summaries unchanged.  The spans are the installed
+    profiler's (``--profile``), which the runner's trials have merged
+    into.
     """
     from ..experiments.persistence import save_envelope
     from ..obs.spans import active_profiler, layer_breakdown
@@ -217,10 +215,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         _finish_exec(runner, args)
     print(report.render())
     if args.out:
-        pathlib.Path(args.out).write_text(
-            json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        from ..experiments.persistence import save_json
+
+        save_json(args.out, report.to_json())
         print(f"wrote {args.out}")
     if args.summary:
         _write_envelope(
@@ -241,6 +238,8 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         _add_exec_flags,
         _add_instrument_flags,
         _non_negative_int,
+        _number,
+        _positive_float,
         _positive_int,
     )
 
@@ -289,15 +288,16 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
                      default=list(FIG4_DEFAULT_ID_BITS), metavar="H",
                      help="identifier sizes to sweep (default: the "
                      "Figure-4 set)")
-    cal.add_argument("--density", type=float, nargs="+",
+    cal.add_argument("--density", type=_positive_float, nargs="+",
                      default=list(DEFAULT_DENSITIES), metavar="T",
                      help="transaction densities to sweep")
-    cal.add_argument("--trials", type=int, default=3)
-    cal.add_argument("--horizon", type=float, default=300.0)
-    cal.add_argument("--window", type=float, default=25.0)
-    cal.add_argument("--warmup", type=float, default=5.0,
+    cal.add_argument("--trials", type=_positive_int, default=3)
+    cal.add_argument("--horizon", type=_positive_float, default=300.0,
+                     help="seconds per replicate; at least --window")
+    cal.add_argument("--window", type=_positive_float, default=25.0)
+    cal.add_argument("--warmup", type=_number, default=5.0,
                      help="discrete-core warmup excluded from its rate")
-    cal.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+    cal.add_argument("--tolerance", type=_number, default=DEFAULT_TOLERANCE,
                      help="per-point absolute divergence budget")
     cal.add_argument("--fidelity", choices=FIDELITY_MODES, default="flow")
     cal.add_argument("--threshold", type=float,
@@ -309,7 +309,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     cal.add_argument("--summary", default=None, metavar="PATH",
                      help="write a flow-calibration envelope (report, "
                      "spans, telemetry)")
-    cal.add_argument("--flow-shards", type=int, default=None, metavar="N",
+    cal.add_argument("--flow-shards", type=_positive_int, default=None, metavar="N",
                      help="shard each flow replicate's window plan "
                      "across the runner (bit-identical results)")
     _add_exec_flags(cal)

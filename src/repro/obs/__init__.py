@@ -6,7 +6,7 @@ without perturbing it:
 * :mod:`.spans` — lightweight wall-clock span profiling, wired into the
   simulator's dispatch loop, the exec layer, and the AFF/radio hot
   paths; per-layer breakdowns feed :class:`repro.exec.telemetry
-  .RunTelemetry` and ``bench-trend``.
+  .RunTelemetry`.
 * :mod:`.metrics` — deterministic counters / gauges / fixed-bucket
   histograms, installed into the same slot as spans
   (:mod:`repro.instruments`); snapshots are canonical JSONL and merge

@@ -5,9 +5,9 @@ Layout (one JSON object per line):
 * line 1 — header: ``{"kind": "repro.obs/trace", "schema": 1,
   "writer": <repro version>, "meta": {...}}``;
 * lines 2..N+1 — records: ``{"t": time, "c": category, "f": fields}``
-  with keys sorted and non-finite floats tagged the same way the exec
-  transport tags them (``{"__float__": "nan"}``), so a record has
-  exactly one serialized form;
+  written by :func:`repro.util.codec.dumps` (keys sorted, non-finite
+  floats tagged the way every other artefact tags them), so a record
+  has exactly one serialized form;
 * last line — footer: ``{"end": true, "records": N}``.
 
 The writer streams: each record goes to disk as it is written, so
@@ -32,15 +32,14 @@ import pathlib
 from types import TracebackType
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Type, Union
 
-from ..exec.runner import decode_jsonable, encode_jsonable
 from ..sim.trace import TraceRecord
+from ..util import codec
 
 __all__ = [
     "SCHEMA_VERSION",
     "TRACE_KIND",
     "TraceReadError",
     "TraceWriter",
-    "canonical_number",
     "read_header",
     "read_trace",
     "load_trace",
@@ -60,39 +59,11 @@ class TraceReadError(ValueError):
     """A file is not a complete, readable trace of the expected schema."""
 
 
-def canonical_number(
-    value: Union[int, float]
-) -> Union[int, float, Dict[str, str]]:
-    """One canonical JSON form for every number the obs layer emits.
-
-    Span tables, metric snapshots and trace records must all serialize
-    a given value to the same bytes, or byte-comparison of artifacts
-    becomes format trivia instead of a determinism check.  The rules:
-
-    * ints stay ints (never widened to ``1.0``);
-    * finite floats pass through — ``json.dumps`` emits the shortest
-      round-tripping decimal, which is already canonical;
-    * non-finite floats are tagged exactly the way the exec transport
-      and trace lines tag them: ``{"__float__": "nan" | "inf" | "-inf"}``
-      (``allow_nan=False`` would otherwise refuse to serialize them).
-    """
-    if isinstance(value, bool) or not isinstance(value, float):
-        return value
-    if value != value:
-        return {"__float__": "nan"}
-    if value in (float("inf"), float("-inf")):
-        return {"__float__": repr(value)}
-    return value
-
-
 def _record_line(record: TraceRecord) -> str:
     """The canonical one-line form of a record (deterministic bytes)."""
-    body = {
-        "t": encode_jsonable(record.time),
-        "c": record.category,
-        "f": encode_jsonable(dict(record.fields)),
-    }
-    return json.dumps(body, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return codec.dumps(
+        {"t": record.time, "c": record.category, "f": dict(record.fields)}
+    )
 
 
 class TraceWriter:
@@ -116,12 +87,9 @@ class TraceWriter:
             "kind": TRACE_KIND,
             "schema": SCHEMA_VERSION,
             "writer": __version__,
-            "meta": encode_jsonable(dict(meta or {})),
+            "meta": dict(meta or {}),
         }
-        self._out.write(
-            json.dumps(header, sort_keys=True, separators=(",", ":"), allow_nan=False)
-            + "\n"
-        )
+        self._out.write(codec.dumps(header) + "\n")
 
     @property
     def records(self) -> int:
@@ -140,14 +108,7 @@ class TraceWriter:
         if self._closed:
             return
         self._closed = True
-        self._out.write(
-            json.dumps(
-                {"end": True, "records": self._records},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            + "\n"
-        )
+        self._out.write(codec.dumps({"end": True, "records": self._records}) + "\n")
         self._out.close()
         self._tmp.replace(self.path)
 
@@ -249,12 +210,12 @@ def read_trace(path: PathLike) -> Iterator[TraceRecord]:
                 continue
             if not {"t", "c", "f"} <= set(body):
                 raise TraceReadError(f"{target}:{lineno}: malformed record")
-            fields = decode_jsonable(body["f"])
+            fields = codec.decode(body["f"])
             if not isinstance(fields, dict):
                 raise TraceReadError(f"{target}:{lineno}: fields not an object")
             count += 1
             yield TraceRecord(
-                time=float(decode_jsonable(body["t"])),
+                time=float(codec.decode(body["t"])),
                 category=str(body["c"]),
                 fields=fields,
             )

@@ -49,6 +49,7 @@ from typing import (
 )
 
 from .. import instruments as _slot
+from ..util import codec
 
 __all__ = [
     "MetricsReadError",
@@ -211,8 +212,6 @@ class MetricsRegistry:
         This is the wire form carried in worker result messages and the
         per-line form of snapshot files; :meth:`merge_json` consumes it.
         """
-        from .envelope import canonical_number
-
         table: Dict[str, Dict[str, Any]] = {}
         for name in self.names():
             kind = self._kinds[name]
@@ -224,7 +223,7 @@ class MetricsRegistry:
                 edges, counts = self._histograms[name]
                 table[name] = {
                     "kind": kind,
-                    "edges": [canonical_number(edge) for edge in edges],
+                    "edges": list(edges),  # finite: _check_edges
                     "buckets": list(counts),
                 }
         return table
@@ -252,9 +251,7 @@ class MetricsRegistry:
             elif kind == "gauge":
                 self.gauge_max(name, int(entry.get("value", 0)))
             elif kind == "histogram":
-                edges = tuple(
-                    _decode_edge(edge) for edge in entry.get("edges", ())
-                )
+                edges = tuple(entry.get("edges", ()))
                 counts = [int(c) for c in entry.get("buckets", ())]
                 self._merge_histogram(name, edges, counts)
             else:
@@ -287,18 +284,6 @@ class MetricsRegistry:
             )
         for i, c in enumerate(counts):
             mine[i] += int(c)
-
-
-def _decode_edge(edge: Any) -> Number:
-    """Invert :func:`repro.obs.envelope.canonical_number` for edges."""
-    if isinstance(edge, dict):
-        tagged = edge.get("__float__")
-        if isinstance(tagged, str):
-            return float(tagged)
-        raise ValueError(f"malformed histogram edge {edge!r}")
-    if isinstance(edge, bool) or not isinstance(edge, (int, float)):
-        raise ValueError(f"malformed histogram edge {edge!r}")
-    return edge
 
 
 # -- activation: the metrics part of the instrumentation slot ----------
@@ -344,12 +329,6 @@ def observe(name: str, value: Number, edges: Sequence[Number]) -> None:
 # -- snapshots ---------------------------------------------------------
 
 
-def _canonical_line(record: Dict[str, Any]) -> str:
-    return json.dumps(
-        record, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
-
-
 def write_snapshot(
     path: Union[str, "os.PathLike[str]"],
     registry: MetricsRegistry,
@@ -368,7 +347,7 @@ def write_snapshot(
     target = pathlib.Path(path)
     tmp = target.with_name(target.name + ".tmp")
     lines = [
-        _canonical_line(
+        codec.dumps(
             {
                 "kind": SNAPSHOT_KIND,
                 "schema": SNAPSHOT_SCHEMA,
@@ -380,8 +359,8 @@ def write_snapshot(
     for name in sorted(table):
         entry = dict(table[name])
         entry["name"] = name
-        lines.append(_canonical_line(entry))
-    lines.append(_canonical_line({"end": True, "metrics": len(table)}))
+        lines.append(codec.dumps(entry))
+    lines.append(codec.dumps({"end": True, "metrics": len(table)}))
     tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
     os.replace(tmp, target)
     return len(table)
@@ -479,7 +458,7 @@ def render_prometheus(registry: MetricsRegistry) -> str:
             out.append(f"# TYPE {flat} gauge")
             out.append(f"{flat} {entry['value']}")
         else:
-            edges = [_decode_edge(edge) for edge in entry["edges"]]
+            edges = entry["edges"]
             buckets = [int(b) for b in entry["buckets"]]
             out.append(f"# TYPE {flat} histogram")
             cumulative = 0

@@ -11,9 +11,9 @@ Span names are dotted, and the first component is the *layer bucket*:
 ``"aff.reassemble"`` books under ``aff``, ``"radio.dispatch"`` under
 ``radio``.  :func:`layer_breakdown` folds a span table into the
 per-layer wall-time dict that :class:`repro.exec.telemetry.RunTelemetry`
-and ``bench-trend`` carry.  Names must be string literals at the call
-site (lint rule OBS001) so summaries from different runs stay
-field-comparable.
+and the ``BENCH_*.json`` records carry.  Names must be string literals
+at the call site (lint rule OBS001) so summaries from different runs
+stay field-comparable.
 
 Activation is the profiler part of the one instrumentation slot
 (:mod:`repro.instruments`): :func:`profiling` installs a profiler for a
@@ -96,15 +96,12 @@ class SpanStats:
             self.max = seconds
 
     def to_json(self) -> Dict[str, Any]:
-        # Deferred import: envelope sits above the kernel (it pulls in
-        # the exec transport); serialization is never on the hot path.
-        from .envelope import canonical_number
-
+        # Clock differences are finite; ``min`` is inf only while empty.
         return {
             "count": self.count,
-            "total": canonical_number(self.total),
-            "min": canonical_number(self.min if self.count else 0.0),
-            "max": canonical_number(self.max),
+            "total": self.total,
+            "min": self.min if self.count else 0.0,
+            "max": self.max,
         }
 
 

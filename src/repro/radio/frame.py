@@ -16,7 +16,6 @@ would have lost.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -24,9 +23,6 @@ __all__ = ["Frame", "RPC_MAX_FRAME_BYTES", "FrameTooLargeError"]
 
 #: Maximum payload of a Radiometrix RPC frame (Section 4.4 / 5 of the paper).
 RPC_MAX_FRAME_BYTES = 27
-
-_frame_seq = itertools.count(1)
-
 
 class FrameTooLargeError(ValueError):
     """Raised when a frame exceeds the radio's maximum frame size."""
@@ -53,7 +49,11 @@ class Frame:
     ground_truth:
         Free-form instrumentation payload (e.g. the true packet key).
     seq:
-        Unique frame number for tracing.
+        Frame number for tracing, stamped by the
+        :class:`~repro.radio.medium.BroadcastMedium` when it puts the
+        frame on the air (1, 2, ... per medium, in transmit order), so a
+        trial's trace does not depend on what ran before it.  0 until
+        then.
     decoded:
         ``(id_bits, fragment)`` memo of
         :meth:`~repro.aff.wire.FragmentCodec.decode_frame`; not part of
@@ -69,7 +69,7 @@ class Frame:
     header_bits: int = 0
     payload_bits: int = 0
     ground_truth: Any = None
-    seq: int = field(default_factory=lambda: next(_frame_seq))
+    seq: int = 0
     decoded: Any = field(default=None, init=False, repr=False, compare=False)
     size_bytes: int = field(init=False, repr=False, compare=False)
     size_bits: int = field(init=False, repr=False, compare=False)

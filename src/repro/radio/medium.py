@@ -10,8 +10,10 @@ topology).  Two things can destroy a frame on a given link:
 * **channel loss** — the per-link :class:`~repro.radio.channel.Channel`
   model drops it.
 
-The medium also exposes :meth:`busy_at` for carrier-sensing MACs, and
-emits ``frame.tx`` / ``frame.rx`` / ``frame.drop`` trace records.
+The medium also exposes :meth:`busy_at` for carrier-sensing MACs,
+numbers the frames it transmits (``Frame.seq``: 1, 2, ... in transmit
+order), and emits ``frame.tx`` / ``frame.rx`` / ``frame.drop`` trace
+records.
 
 The medium never interprets frame payloads; protocol identifiers are
 invisible here.  This separation is what lets the instrumented AFF
@@ -21,6 +23,7 @@ exactly as the paper's instrumented driver did.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -115,6 +118,7 @@ class BroadcastMedium:
         # longer one still corrupts the longer frame at resolution time.
         self._recent: List[Transmission] = []
         self.stats = MediumStats()
+        self._seq = itertools.count(1)
         # Instruments, bound once at construction: observational-only
         # span profiling, and deterministic counters (frames on the
         # air, per-receiver fates), one None-check each when off.
@@ -175,6 +179,7 @@ class BroadcastMedium:
     def _transmit(self, frame: Frame) -> float:
         start = self.sim.now
         end = start + self.airtime(frame)
+        frame.seq = next(self._seq)
         txn = Transmission(frame=frame, start=start, end=end)
         self._active.append(txn)
         self.stats.frames_sent += 1

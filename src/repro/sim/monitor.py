@@ -8,32 +8,20 @@ transactions", the paper's transaction density ``T``.
 
 Every monitor round-trips through JSON (``to_json`` / ``from_json``):
 the payload restores the *exact* internal state, so a monitor serialised
-mid-run and restored continues bit-identically.  Non-finite floats are
-encoded as the strings ``"nan"`` / ``"inf"`` / ``"-inf"`` (strict JSON
-has no spelling for them); the codec lives here rather than reusing the
-exec transport because :mod:`repro.sim` sits below :mod:`repro.exec` in
-the layering.
+mid-run and restored continues bit-identically.  Non-finite floats
+(an empty :class:`RunningStats` holds ``inf``/``-inf`` extremes) take
+the one JSON codec's tag, :mod:`repro.util.codec`, a leaf below the
+simulation kernel.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
+
+from ..util.codec import decode, encode
 
 __all__ = ["Counter", "RunningStats", "TimeWeightedValue", "Histogram"]
-
-
-def _enc(value: float) -> Union[float, str]:
-    """A float as strict JSON: non-finite values become strings."""
-    if value != value:
-        return "nan"
-    if value in (math.inf, -math.inf):
-        return "inf" if value > 0 else "-inf"
-    return value
-
-
-def _dec(value: Union[float, int, str]) -> float:
-    return float(value)
 
 
 class Counter:
@@ -120,22 +108,20 @@ class RunningStats:
         return f"<RunningStats n={self.n} mean={self.mean:.6g} sd={self.stdev:.6g}>"
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "n": self.n,
-            "mean": _enc(self._mean),
-            "m2": _enc(self._m2),
-            "min": _enc(self._min),
-            "max": _enc(self._max),
-        }
+        return encode(
+            {"n": self.n, "mean": self._mean, "m2": self._m2,
+             "min": self._min, "max": self._max}
+        )
 
     @classmethod
     def from_json(cls, payload: Dict[str, Any]) -> "RunningStats":
+        payload = decode(payload)
         stats = cls()
         stats.n = int(payload["n"])
-        stats._mean = _dec(payload["mean"])
-        stats._m2 = _dec(payload["m2"])
-        stats._min = _dec(payload["min"])
-        stats._max = _dec(payload["max"])
+        stats._mean = float(payload["mean"])
+        stats._m2 = float(payload["m2"])
+        stats._min = float(payload["min"])
+        stats._max = float(payload["max"])
         return stats
 
 
@@ -191,18 +177,17 @@ class TimeWeightedValue:
         return integral / span if span > 0 else self._value
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "start": _enc(self._start),
-            "last_time": _enc(self._last_time),
-            "value": _enc(self._value),
-            "integral": _enc(self._integral),
-        }
+        return encode(
+            {"start": self._start, "last_time": self._last_time,
+             "value": self._value, "integral": self._integral}
+        )
 
     @classmethod
     def from_json(cls, payload: Dict[str, Any]) -> "TimeWeightedValue":
-        signal = cls(time=_dec(payload["start"]), value=_dec(payload["value"]))
-        signal._last_time = _dec(payload["last_time"])
-        signal._integral = _dec(payload["integral"])
+        payload = decode(payload)
+        signal = cls(time=float(payload["start"]), value=float(payload["value"]))
+        signal._last_time = float(payload["last_time"])
+        signal._integral = float(payload["integral"])
         return signal
 
 
@@ -244,8 +229,8 @@ class Histogram:
 
     def to_json(self) -> Dict[str, Any]:
         return {
-            "lo": _enc(self.lo),
-            "hi": _enc(self.hi),
+            "lo": encode(self.lo),
+            "hi": encode(self.hi),
             "bins": self.bins,
             "counts": list(self.counts),
             "underflow": self.underflow,
@@ -255,7 +240,8 @@ class Histogram:
 
     @classmethod
     def from_json(cls, payload: Dict[str, Any]) -> "Histogram":
-        hist = cls(_dec(payload["lo"]), _dec(payload["hi"]), int(payload["bins"]))
+        payload = decode(payload)
+        hist = cls(float(payload["lo"]), float(payload["hi"]), int(payload["bins"]))
         counts = [int(count) for count in payload["counts"]]
         if len(counts) != hist.bins:
             raise ValueError(

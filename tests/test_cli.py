@@ -246,6 +246,20 @@ class TestCountsBelowOne:
                          id="obs-record-id-bits"),
             pytest.param(["flow", "calibrate", "--id-bits", "3", "-1"], NEGATIVE,
                          id="flow-calibrate-id-bits"),
+            pytest.param(["flow", "calibrate", "--horizon", "-5"], POSITIVE,
+                         id="flow-calibrate-horizon"),
+            pytest.param(["flow", "calibrate", "--window", "0"], POSITIVE,
+                         id="flow-calibrate-window"),
+            pytest.param(["flow", "calibrate", "--density", "2", "0"], POSITIVE,
+                         id="flow-calibrate-density"),
+            pytest.param(["flow", "calibrate", "--trials", "0"], COUNT,
+                         id="flow-calibrate-trials"),
+            pytest.param(["flow", "calibrate", "--flow-shards", "0"], COUNT,
+                         id="flow-calibrate-flow-shards"),
+            pytest.param(["flow", "calibrate", "--warmup", "nan"],
+                         "must be a number", id="flow-calibrate-warmup-nan"),
+            pytest.param(["flow", "calibrate", "--tolerance", "nan"],
+                         "must be a number", id="flow-calibrate-tolerance-nan"),
             pytest.param(["obs", "record", "--scenario", "collision",
                           "--duration", "0", "--out", "unused.jsonl"], POSITIVE,
                          id="obs-record-duration"),
@@ -279,6 +293,26 @@ class TestCountsBelowOne:
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            # A horizon shorter than one window leaves the flow core no
+            # window to sample.
+            pytest.param(["--horizon", "20", "--window", "25"],
+                         "horizon 20.0 is shorter than the window 25.0",
+                         id="horizon-below-window"),
+            pytest.param(["--threshold", "0"],
+                         "switch_threshold must be positive, got 0.0",
+                         id="threshold"),
+        ],
+    )
+    def test_flow_calibrate_refuses_before_any_trial(self, flags, message, capsys):
+        assert main(["flow", "calibrate"] + flags) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "trials" not in captured.err
         assert captured.out == ""
 
 
@@ -327,38 +361,6 @@ class TestCacheCommand:
     def test_action_is_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cache", "shrink"])
-
-
-class TestBenchTrendCommand:
-    def bench(self, results_dir, mean):
-        from repro.experiments.persistence import save_envelope
-
-        save_envelope(
-            results_dir / "BENCH_micro.json", "benchmark",
-            {"name": "micro", "fidelity": {"full": False},
-             "metrics": {}, "timing": {"mean": mean}},
-        )
-
-    def test_records_then_flags_regression(self, tmp_path, capsys):
-        results = tmp_path / "results"
-        results.mkdir()
-        self.bench(results, 1.0)
-        assert main(["bench-trend", "--results", str(results)]) == 0
-        capsys.readouterr()
-        self.bench(results, 2.0)  # 100% slower than best
-        assert main(["bench-trend", "--results", str(results)]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSED" in out
-
-    def test_no_record_only_analyzes(self, tmp_path, capsys):
-        results = tmp_path / "results"
-        results.mkdir()
-        self.bench(results, 1.0)
-        assert main([
-            "bench-trend", "--results", str(results), "--no-record",
-        ]) == 0
-        assert not (results / "TREND.jsonl").exists()
-        assert "no benchmark history" in capsys.readouterr().out
 
 
 def _span_counts(path):

@@ -8,6 +8,7 @@ seed derivation).
 """
 
 import json
+import math
 
 import pytest
 
@@ -20,7 +21,7 @@ from repro.exec import (
     derive_trial_seed,
     trial_key,
 )
-from repro.experiments.persistence import load_envelope
+from repro.experiments.persistence import load_envelope, load_json
 from repro.flow.calibrate import (
     DEFAULT_TOLERANCE,
     CalibrationPoint,
@@ -177,13 +178,34 @@ class TestFlowCalibrateCli:
         assert main(self._ARGS + ["--tolerance", "0"]) == 1
 
     def test_exit_two_on_invalid_config(self):
-        # A trial count of zero is rejected before any trial runs.
-        assert (
+        # A trial count of zero is a usage error, before any trial runs.
+        with pytest.raises(SystemExit) as exit_info:
             main(
                 [
                     "flow", "calibrate", "--id-bits", "5", "--density", "2",
                     "--trials", "0", "--horizon", "60", "--window", "20",
                 ]
             )
-            == 2
-        )
+        assert exit_info.value.code == 2
+
+    def test_non_finite_rates_are_written_and_read_back(self, tmp_path):
+        # At a density this low neither core sees a transaction: both
+        # rates are NaN and the divergence is inf.  Both files are
+        # valid JSON and load back as floats.
+        out = tmp_path / "calibration.json"
+        summary = tmp_path / "summary.json"
+        argv = [
+            "flow", "calibrate", "--id-bits", "3", "--density", "1e-6",
+            "--trials", "1", "--horizon", "25", "--threshold", "inf",
+            "--out", str(out), "--summary", str(summary),
+        ]
+        assert main(argv) == 1
+        for path in (out, summary):
+            json.loads(path.read_text(), parse_constant=pytest.fail)
+        for report in (load_json(out), load_envelope(summary, "flow-calibration")):
+            point = report["points"][0]
+            assert math.isnan(point["flow_rate"])
+            assert math.isnan(point["discrete_rate"])
+            assert point["divergence"] == math.inf
+            assert report["max_divergence"] == math.inf
+            assert report["switch_threshold"] == math.inf

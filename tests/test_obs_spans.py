@@ -1,7 +1,7 @@
 """Tests for span profiling (repro.obs.spans).
 
 Covers the aggregation arithmetic (SpanStats, cross-process merge), the
-layer-bucket folding that feeds telemetry and bench-trend, and the
+layer-bucket folding that feeds telemetry, and the
 module-level activation slot (``profiling`` / ``span`` no-op when off).
 """
 

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.radio.frame import Frame, RPC_MAX_FRAME_BYTES
+from repro.radio.medium import BroadcastMedium
+from repro.sim.engine import Simulator
+from repro.topology.graphs import FullMesh
 
 
 class TestFrame:
@@ -25,9 +28,15 @@ class TestFrame:
             Frame(payload=b"abcd", origin=0, header_bits=10, payload_bits=10)
 
     def test_seq_unique(self):
+        # Numbers are per medium, stamped at transmit (0 until sent).
+        sim = Simulator()
+        medium = BroadcastMedium(sim, FullMesh(range(2)))
         a = Frame(payload=b"", origin=0)
         b = Frame(payload=b"", origin=0)
-        assert a.seq != b.seq
+        assert a.seq == b.seq == 0
+        medium.transmit(b)
+        medium.transmit(a)
+        assert (a.seq, b.seq) == (2, 1)
 
     def test_rpc_limit_constant(self):
         assert RPC_MAX_FRAME_BYTES == 27

@@ -1,14 +1,12 @@
 """Unit tests for the broadcast medium."""
 
 import hashlib
-import itertools
 import random
 
 import pytest
 
 from repro.experiments.harness import CollisionTrialConfig, run_collision_trial
 from repro.obs.envelope import TraceWriter, _record_line
-from repro.radio import frame as frame_module
 from repro.radio.channel import BernoulliChannel
 from repro.radio.frame import Frame
 from repro.radio.mac import AlohaMac
@@ -231,21 +229,14 @@ class TestTracing:
 
 
 #: sha256 of a full TraceRecorder's record lines (the trace file's line
-#: form) for the 2 s Figure-4 trials below, pinned before count-only
-#: recorders were charged per frame.  Frame records carry no AFF
+#: form) for the 2 s Figure-4 trials below.  Frame records carry no AFF
 #: identifier and these trials have no RF collisions, so the uniform
-#: and listening selectors put the same frames on the air.
-FIG4_RECORD_SHA256 = "653691923ae0acf5d5607ad9bb567c40424ae4bb45df0e7e9b5c37532f33f9b8"
+#: and listening selectors put the same frames on the air.  Frame
+#: ``seq`` counts transmissions on the trial's medium.
+FIG4_RECORD_SHA256 = "4940b55e040a5cd8973e3f90c567305b38f2ba6d24cc9c40ea1285ff59442173"
 
 
-def _fresh_trial(monkeypatch, config, recorder=None):
-    """``run_collision_trial`` numbering frames from 1, as a fresh
-    process does (frame ``seq`` is process-wide and lands in records)."""
-    monkeypatch.setattr(frame_module, "_frame_seq", itertools.count(1))
-    return run_collision_trial(config, recorder=recorder)
-
-
-def _trial_under_recorders(monkeypatch, config):
+def _trial_under_recorders(config):
     """The trial's result and ``emitted_counts()`` items per recorder."""
     recorders = [
         NullRecorder(),
@@ -253,11 +244,27 @@ def _trial_under_recorders(monkeypatch, config):
         TraceRecorder(categories={"frame.tx"}),
     ]
     outcomes = [
-        (_fresh_trial(monkeypatch, config, recorder),
+        (run_collision_trial(config, recorder=recorder),
          list(recorder.emitted_counts().items()))
         for recorder in recorders
     ]
     return recorders, outcomes
+
+
+class TestFrameNumbering:
+    """Frame ``seq`` counts transmissions on one medium, so a trial's
+    records do not depend on what ran earlier in the process."""
+
+    def test_same_trial_twice_records_identical_lines(self):
+        config = CollisionTrialConfig(
+            id_bits=6, n_senders=5, duration=2.0, selector="listening", seed=0
+        )
+        runs = []
+        for _ in range(2):
+            recorder = TraceRecorder()
+            run_collision_trial(config, recorder=recorder)
+            runs.append([_record_line(record) for record in recorder])
+        assert runs[0] and runs[0] == runs[1]
 
 
 class TestRecorderEquivalence:
@@ -267,11 +274,11 @@ class TestRecorderEquivalence:
     the same either way."""
 
     @pytest.mark.parametrize("selector", ["uniform", "listening"])
-    def test_figure_4_trial(self, selector, tmp_path, monkeypatch):
+    def test_figure_4_trial(self, selector, tmp_path):
         config = CollisionTrialConfig(
             id_bits=6, n_senders=5, duration=2.0, selector=selector, seed=0
         )
-        recorders, outcomes = _trial_under_recorders(monkeypatch, config)
+        recorders, outcomes = _trial_under_recorders(config)
         null, full, filtered = recorders
         assert outcomes[0] == outcomes[1] == outcomes[2]
         assert outcomes[0][0] == run_collision_trial(config)
@@ -285,7 +292,7 @@ class TestRecorderEquivalence:
         # A streaming writer is a recorder that keeps records too.
         path = tmp_path / "trial.jsonl"
         with TraceWriter(path) as writer:
-            assert _fresh_trial(monkeypatch, config, writer) == outcomes[0][0]
+            assert run_collision_trial(config, recorder=writer) == outcomes[0][0]
         written = path.read_text().splitlines(keepends=True)[1:-1]
         assert hashlib.sha256("".join(written).encode()).hexdigest() == digest
 
@@ -308,14 +315,14 @@ class TestRecorderEquivalence:
         assert counts[0] == counts[1]
         assert counts[1] == [("frame.tx", 1), ("frame.rx", 2), ("frame.drop", 1)]
 
-    def test_drops_between_deliveries_keep_counter_order(self, monkeypatch):
+    def test_drops_between_deliveries_keep_counter_order(self):
         # RF collisions and a lossy channel interleave drops with
         # deliveries inside one frame's fan-out.
         config = CollisionTrialConfig(
             id_bits=6, n_senders=3, duration=2.0, seed=3, rf_collisions=True,
             channel_factory=lambda sender, receiver: BernoulliChannel(0.1),
         )
-        _recorders, outcomes = _trial_under_recorders(monkeypatch, config)
+        _recorders, outcomes = _trial_under_recorders(config)
         assert outcomes[0] == outcomes[1] == outcomes[2]
         result = outcomes[0][0]
         assert result.received_unique > 0

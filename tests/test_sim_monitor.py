@@ -162,7 +162,8 @@ class TestJsonRoundTrip:
 
     def test_running_stats_empty_nonfinite_state(self):
         payload = json.loads(json.dumps(RunningStats().to_json()))
-        assert payload["min"] == "inf" and payload["max"] == "-inf"
+        assert payload["min"] == {"__float__": "inf"}
+        assert payload["max"] == {"__float__": "-inf"}
         restored = RunningStats.from_json(payload)
         assert restored.n == 0
         assert math.isnan(restored.mean)
