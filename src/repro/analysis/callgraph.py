@@ -21,7 +21,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set
 
-from .core import walk
+from .core import nodes
 from .symbols import ProjectContext
 
 __all__ = ["CallGraph", "build_callgraph"]
@@ -92,10 +92,9 @@ def _resolve_edges(project: ProjectContext) -> CallGraph:
     for info in project.functions():
         module = project.modules[info.module]
         callees: Set[str] = set()
-        for node in walk(info.node):
-            if isinstance(node, ast.Call):
-                ref = project.resolve_call(module, node.func)
-                if ref is not None and ref != info.ref:
-                    callees.add(ref)
+        for node in nodes(info.node, ast.Call):
+            ref = project.resolve_call(module, node.func)
+            if ref is not None and ref != info.ref:
+                callees.add(ref)
         graph.edges[info.ref] = callees
     return graph

@@ -26,9 +26,11 @@ per-module ones — a fingerprint binds to the flagged *line's content*,
 not its number, so cross-module findings survive line drift in either
 file.
 
-Rules walk the syntax tree through :func:`walk`, which keeps each
-scope's node order on the scope node itself: every rule shares one
-walk per scope, and the cache is freed with the tree.
+Rules read the syntax tree through one :class:`NodeIndex` per module,
+built by the first query and freed with the tree: :func:`nodes` (the
+nodes of some types under a node, in ``ast.walk`` order), :func:`walk`
+(all of them) and :func:`scope_order` (a scope's own nodes, in stack
+order).  No rule walks a tree itself.
 """
 
 from __future__ import annotations
@@ -38,13 +40,17 @@ import hashlib
 import importlib
 import json
 import re
+import weakref
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
-    Callable,
+    Any,
     Dict,
     Iterable,
     Iterator,
@@ -55,8 +61,9 @@ from typing import (
     Set,
     Tuple,
     Type,
-    TypeVar,
+    Union,
 )
+from weakref import WeakKeyDictionary
 
 from .constfold import collect_module_constants
 
@@ -74,11 +81,12 @@ __all__ = [
     "SCOPE_NODES",
     "all_project_rules",
     "all_rules",
-    "cached_walk",
+    "nodes",
     "project_registry",
     "register",
     "register_project",
     "registry",
+    "scope_order",
     "walk",
 ]
 
@@ -89,37 +97,303 @@ _SKIP_DIRS = frozenset(
     {"__pycache__", ".git", ".mypy_cache", ".pytest_cache", "build", "dist"}
 )
 
-#: Node types whose walks are memoised on the node: the scope roots
-#: rules iterate over again and again.
-SCOPE_NODES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+#: The nodes that open a Python scope.  A query rooted at one of them
+#: is answered from its module's :class:`NodeIndex`; a query rooted at
+#: any other node (an expression, a statement) walks that subtree.
+SCOPE_NODES = (
+    ast.Module,
+    ast.ClassDef,
+    ast.FunctionDef,
+    ast.AsyncFunctionDef,
+    ast.Lambda,
+)
 
-NodeT = TypeVar("NodeT", bound=ast.AST)
+#: A node class, or a tuple of them, as ``isinstance`` takes it.
+Kinds = Union[Type[ast.AST], Tuple[Type[ast.AST], ...]]
 
 
-def cached_walk(
-    node: ast.AST, attr: str, build: Callable[[ast.AST], Iterable[NodeT]]
-) -> Iterable[NodeT]:
-    """``build(node)``, kept as a tuple in ``node.<attr>`` for scope nodes.
+def _children(node: ast.AST) -> List[ast.AST]:
+    """``node``'s direct children, in ``ast.iter_child_nodes`` order."""
+    found: List[ast.AST] = []
+    for name in node._fields:
+        value = getattr(node, name, None)
+        if isinstance(value, ast.AST):
+            found.append(value)
+        elif isinstance(value, list):
+            for item in value:
+                if isinstance(item, ast.AST):
+                    found.append(item)
+    return found
 
-    The cache lives on the tree, so it dies with it.  It is only valid
-    while the tree is unchanged: rules must never mutate the AST.
+
+def _bfs(root: ast.AST) -> List[ast.AST]:
+    """Every node under ``root``, in ``ast.walk`` order, walked afresh."""
+    found = [root]
+    for node in found:
+        found += _children(node)
+    return found
+
+
+#: Stands in for the module in its own index (see :class:`NodeIndex`).
+_DETACHED = ast.AST()
+
+
+class NodeIndex:
+    """One breadth-first traversal of a module, kept as flat arrays.
+
+    ``order`` lists the module's nodes in ``ast.walk`` order and
+    ``start[i]`` is where node ``i``'s children begin, so they are
+    ``order[start[i]:start[i + 1]]``.  A breadth-first walk appends
+    siblings together, so the descendants of any node at one depth are
+    one contiguous run of ``order``: a subtree's walk is a slice per
+    level, and a typed query bisects each level in that type's sorted
+    positions.  The stack order of :meth:`scope_order` is derived from
+    the same arrays on first use.
+
+    The module itself is not kept (``order[0]`` is a stand-in): the
+    registry keys each index weakly by its module, so an index that
+    held its module would keep the whole tree alive.  Rules must never
+    mutate a tree once it is indexed.
     """
+
+    __slots__ = (
+        "order",
+        "start",
+        "scopes",
+        "_types",
+        "_typed",
+        "_ranks",
+        "_by_rank",
+        "_spans",
+        "_blocks",
+        "_block_starts",
+        "__weakref__",
+    )
+
+    def __init__(self, root: ast.AST):
+        order = [root]
+        start: "array[int]" = array("i")
+        types: Dict[Type[ast.AST], "array[int]"] = {}
+        for position, node in enumerate(order):
+            start.append(len(order))
+            kind = type(node)
+            seen = types.get(kind)
+            if seen is None:
+                seen = types[kind] = array("i")
+            seen.append(position)
+            order += _children(node)
+        start.append(len(order))
+        order[0] = _DETACHED
+        types[type(root)].pop(0)
+        self.order = tuple(order)
+        self.start = start
+        self._types = types
+        self._typed: Dict[Kinds, "array[int]"] = {}
+        #: Every scope node below the module -> its position.
+        self.scopes: Dict[ast.AST, int] = {
+            order[position]: position
+            for kind in SCOPE_NODES
+            for position in types.get(kind, ())
+        }
+        self._ranks: Optional["array[int]"] = None
+        self._by_rank: Dict[Kinds, Tuple["array[int]", "array[int]"]] = {}
+        #: Scope position -> ``(first, end)``, the ranks of its descendants.
+        self._spans: Dict[int, Tuple[int, int]] = {}
+        #: Those scope positions, by first rank, and their first ranks.
+        self._blocks: List[int] = []
+        self._block_starts: List[int] = []
+
+    # -- ast.walk order ---------------------------------------------------
+    def _levels(self, position: int) -> Iterator[Tuple[int, int]]:
+        """``(lo, hi)``: the runs of ``order`` that hold ``position``'s
+        descendants, one per depth."""
+        start = self.start
+        lo, hi = start[position], start[position + 1]
+        while lo < hi:
+            yield lo, hi
+            lo, hi = start[lo], start[hi]
+
+    def _positions(self, kinds: Kinds) -> "array[int]":
+        """Sorted positions of the nodes that are instances of ``kinds``."""
+        found = self._typed.get(kinds)
+        if found is None:
+            runs = [
+                positions
+                for kind, positions in self._types.items()
+                if issubclass(kind, kinds)
+            ]
+            if len(runs) == 1:
+                found = runs[0]
+            else:
+                found = array("i", sorted(chain.from_iterable(runs)))
+            self._typed[kinds] = found
+        return found
+
+    def nodes(self, root: ast.AST, position: int, kinds: Kinds) -> List[ast.AST]:
+        """The walk from ``root``, found at ``position``, kept to ``kinds``."""
+        order = self.order
+        found = [root] if isinstance(root, kinds) else []
+        if kinds is ast.AST:
+            for lo, hi in self._levels(position):
+                found += order[lo:hi]
+            return found
+        positions = self._positions(kinds)
+        if position == 0:
+            found += [order[at] for at in positions]
+            return found
+        for lo, hi in self._levels(position):
+            first = bisect_left(positions, lo)
+            last = bisect_left(positions, hi, first)
+            found += [order[at] for at in positions[first:last]]
+        return found
+
+    # -- stack order -------------------------------------------------------
+    def _build_ranks(self) -> "array[int]":
+        """Each node's rank in the order a stack walk from the module
+        yields them.
+
+        The walk pops a node, yields its children and pushes them, so
+        the subtree of a node's last child comes before its first
+        child's.  A scope's descendants hold one contiguous run of ranks;
+        ``_spans`` and ``_blocks`` record each run.
+        """
+        start = self.start.tolist()
+        scope_at = set(self.scopes.values())
+        stack_order: List[int] = []
+        firsts: Dict[int, int] = {}
+        stack = [0]
+        pop, push, extend = stack.pop, stack.extend, stack_order.extend
+        while stack:
+            parent = pop()
+            lo, hi = start[parent], start[parent + 1]
+            if lo == hi:
+                continue
+            if parent in scope_at:
+                firsts[parent] = len(stack_order)
+            extend(range(lo, hi))
+            push(range(lo, hi))
+        ranks: "array[int]" = array("i", [0]) * len(start)
+        for rank, position in enumerate(stack_order):
+            ranks[position] = rank
+        for position, first in firsts.items():
+            size = sum(hi - lo for lo, hi in self._levels(position))
+            self._spans[position] = (first, first + size)
+        self._blocks = sorted(self._spans, key=firsts.__getitem__)
+        self._block_starts = [firsts[position] for position in self._blocks]
+        self._ranks = ranks
+        return ranks
+
+    def _ranked(self, kinds: Kinds) -> Tuple["array[int]", "array[int]"]:
+        """The ranks of the nodes of ``kinds``, sorted, and their positions."""
+        found = self._by_rank.get(kinds)
+        if found is None:
+            ranks = self._ranks
+            if ranks is None:
+                ranks = self._build_ranks()
+            pairs = sorted((ranks[at], at) for at in self._positions(kinds))
+            found = (
+                array("i", [rank for rank, _ in pairs]),
+                array("i", [at for _, at in pairs]),
+            )
+            self._by_rank[kinds] = found
+        return found
+
+    def scope_order(self, position: int, closed: Kinds, kinds: Kinds) -> List[ast.AST]:
+        """The nodes under ``position`` in stack order, kept to ``kinds``.
+
+        A ``closed`` node is yielded but its subtree is not: the runs of
+        the outermost ``closed`` nodes are cut out of this one.
+        """
+        ranks, positions = self._ranked(kinds)
+        if position == 0:
+            first, end = 0, len(self.order) - 1
+        else:
+            first, end = self._spans.get(position, (0, 0))
+        order, blocks, starts = self.order, self._blocks, self._block_starts
+        runs: List[Tuple[int, int]] = []
+        index = bisect_right(starts, first)
+        while index < len(blocks) and starts[index] < end:
+            inner = blocks[index]
+            if isinstance(order[inner], closed):
+                lo, hi = self._spans[inner]
+                runs.append((first, lo))
+                first = hi
+                index = bisect_left(starts, hi, index)
+            else:
+                index += 1
+        runs.append((first, end))
+        found: List[ast.AST] = []
+        for lo, hi in runs:
+            low = bisect_left(ranks, lo)
+            found += [order[at] for at in positions[low : bisect_left(ranks, hi, low)]]
+        return found
+
+
+#: Module -> its index, built by the first query that needs it.
+_INDEXES: "WeakKeyDictionary[ast.AST, NodeIndex]" = WeakKeyDictionary()
+#: The index that answered the last scope lookup, tried first.
+_last: "Optional[weakref.ReferenceType[NodeIndex]]" = None
+
+
+def _index_of(node: ast.AST) -> Tuple[Optional[NodeIndex], int]:
+    """The index holding ``node`` as a query root, and its position.
+
+    A module is indexed by its first query.  A nested scope is found in
+    the index of its module; any other node, or a scope whose module was
+    never queried, has none.
+    """
+    global _last
+    if type(node) is ast.Module:
+        index = _INDEXES.get(node)
+        if index is None:
+            index = _INDEXES[node] = NodeIndex(node)
+        _last = weakref.ref(index)
+        return index, 0
     if not isinstance(node, SCOPE_NODES):
-        return build(node)
-    cached: Optional[Tuple[NodeT, ...]] = getattr(node, attr, None)
-    if cached is None:
-        cached = tuple(build(node))
-        setattr(node, attr, cached)
-    return cached
+        return None, 0
+    index = _last() if _last is not None else None
+    if index is not None:
+        position = index.scopes.get(node)
+        if position is not None:
+            return index, position
+    for index in _INDEXES.values():
+        position = index.scopes.get(node)
+        if position is not None:
+            _last = weakref.ref(index)
+            return index, position
+    return None, 0
 
 
-def walk(node: ast.AST) -> Iterable[ast.AST]:
-    """Every node under ``node``, in ``ast.walk``'s breadth-first order.
+def walk(node: ast.AST) -> List[ast.AST]:
+    """Every node under ``node``, in ``ast.walk``'s breadth-first order."""
+    return nodes(node, ast.AST)
 
-    Memoised on :data:`SCOPE_NODES` (see :func:`cached_walk`); any
-    other node is walked afresh.
+
+def nodes(node: ast.AST, kinds: Kinds) -> List[Any]:
+    """The nodes of :func:`walk` that are instances of ``kinds``.
+
+    Under a scope node the index answers without visiting the other
+    nodes, so a rule asks for the one or two node types it inspects.
+    Under any other node the (small) subtree is walked afresh.
     """
-    return cached_walk(node, "_walk", ast.walk)
+    index, position = _index_of(node)
+    if index is None:
+        return [found for found in _bfs(node) if isinstance(found, kinds)]
+    return index.nodes(node, position, kinds)
+
+
+def scope_order(node: ast.AST, closed: Kinds, kinds: Kinds = ast.AST) -> List[Any]:
+    """The nodes under ``node`` that a stack walk yields, of ``kinds``.
+
+    The walk pops a node and yields its children, then pushes them;
+    it yields a ``closed`` child (a nested function, say) but never
+    pushes it, so its subtree is left out.  A root no index holds gets
+    an index of its own for this one query.
+    """
+    index, position = _index_of(node)
+    if index is None:
+        index, position = NodeIndex(node), 0
+    return index.scope_order(position, closed, kinds)
 
 
 @dataclass(frozen=True)
@@ -170,19 +444,16 @@ class ModuleContext:
     @cached_property
     def _import_aliases(self) -> Dict[str, Set[str]]:
         aliases: Dict[str, Set[str]] = {}
-        for node in walk(self.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    aliases.setdefault(alias.name, set()).add(
-                        alias.asname or alias.name
-                    )
+        for node in nodes(self.tree, ast.Import):
+            for alias in node.names:
+                aliases.setdefault(alias.name, set()).add(alias.asname or alias.name)
         return aliases
 
     @cached_property
     def _from_import_names(self) -> Dict[str, Dict[str, str]]:
         names: Dict[str, Dict[str, str]] = {}
-        for node in walk(self.tree):
-            if isinstance(node, ast.ImportFrom) and node.module is not None:
+        for node in nodes(self.tree, ast.ImportFrom):
+            if node.module is not None:
                 imported = names.setdefault(node.module, {})
                 for alias in node.names:
                     imported[alias.asname or alias.name] = alias.name

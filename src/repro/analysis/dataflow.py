@@ -25,15 +25,28 @@ Three small engines shared by the project rule packs:
 Scopes are walked with :func:`scope_walk`, which does not descend into
 nested ``def``/``class``/``lambda`` bodies — each nested function is its
 own scope, analysed with its parent's tainted names as inherited
-sources.
+sources.  It and the typed scope queries here read the module's node
+index (:func:`~repro.analysis.core.scope_order`); :class:`TaintTracker`
+reads each assignment site once, so its fixpoint passes walk nothing.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Callable, Iterable, Iterator, Optional, Set, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
-from .core import cached_walk, walk
+from .core import Kinds, nodes, scope_order, walk
 from .symbols import ModuleSymbols
 
 __all__ = [
@@ -58,31 +71,18 @@ _MAX_PASSES = 25
 _DICT_KEY_DEPTH = 6
 
 
-def scope_walk(root: ast.AST) -> Iterable[ast.AST]:
-    """Every node owned by ``root``'s scope.
+def scope_walk(root: ast.AST, kinds: Kinds = ast.AST) -> List[Any]:
+    """Every node owned by ``root``'s scope that is an instance of ``kinds``.
 
     Includes nested ``def``/``class``/``lambda`` statements themselves
     (so callers can recurse into them) but never their bodies.
-    Memoised on scope roots like :func:`~repro.analysis.core.walk`.
     """
-    return cached_walk(root, "_scope_walk", _scope_nodes)
+    return scope_order(root, _NESTED_SCOPES, kinds)
 
 
-def _scope_nodes(root: ast.AST) -> Iterator[ast.AST]:
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        for child in ast.iter_child_nodes(node):
-            yield child
-            if not isinstance(child, _NESTED_SCOPES):
-                stack.append(child)
-
-
-def owned_calls(root: ast.AST) -> Iterator[ast.Call]:
+def owned_calls(root: ast.AST) -> List[ast.Call]:
     """Call sites owned by ``root``'s scope (not nested functions')."""
-    for node in scope_walk(root):
-        if isinstance(node, ast.Call):
-            yield node
+    return scope_walk(root, ast.Call)
 
 
 def param_names(func: Union[ast.FunctionDef, ast.AsyncFunctionDef]) -> Set[str]:
@@ -131,8 +131,40 @@ def positional_or_keyword(
     return None
 
 
+#: The nodes through which an assignment can carry taint.
+_SITES = (
+    ast.Assign,
+    ast.AnnAssign,
+    ast.AugAssign,
+    ast.NamedExpr,
+    ast.For,
+    ast.comprehension,
+    ast.withitem,
+)
+
+
+def _site(node: ast.AST) -> Optional[Tuple[ast.AST, Sequence[ast.expr]]]:
+    """``(value, targets)`` of an assignment site, ``None`` if it binds nothing."""
+    if isinstance(node, ast.Assign):
+        return node.value, node.targets
+    if isinstance(node, (ast.AugAssign, ast.NamedExpr)):
+        return node.value, [node.target]
+    if isinstance(node, ast.AnnAssign):
+        return None if node.value is None else (node.value, [node.target])
+    if isinstance(node, (ast.For, ast.comprehension)):
+        return node.iter, [node.target]
+    if isinstance(node, ast.withitem) and node.optional_vars is not None:
+        return node.context_expr, [node.optional_vars]
+    return None
+
+
 class TaintTracker:
-    """Forward taint over one scope, run to fixpoint at construction."""
+    """Forward taint over one scope, run to fixpoint at construction.
+
+    Each assignment site is read once, into the names its value reads,
+    whether its value holds a source expression, and the names its
+    targets bind; a fixpoint pass is then one set test per site.
+    """
 
     def __init__(
         self,
@@ -142,7 +174,16 @@ class TaintTracker:
     ):
         self.tainted: Set[str] = set(sources)
         self._is_source: Callable[[ast.AST], bool] = is_source or (lambda node: False)
-        self._scope = scope
+        self._sites: List[Tuple[Set[str], bool, List[str]]] = []
+        for node in scope_walk(scope, _SITES):
+            site = _site(node)
+            if site is None:
+                continue
+            value, targets = site
+            bound = [name.id for target in targets for name in nodes(target, ast.Name)]
+            if bound:
+                reads, sourced = self._read(value)
+                self._sites.append((reads, sourced, bound))
         for _ in range(_MAX_PASSES):
             if not self._propagate_once():
                 break
@@ -150,49 +191,30 @@ class TaintTracker:
     # ------------------------------------------------------------------
     def expr_tainted(self, expr: ast.AST) -> bool:
         """Does ``expr`` (or any sub-expression) carry taint?"""
+        reads, sourced = self._read(expr)
+        return sourced or not self.tainted.isdisjoint(reads)
+
+    def _read(self, expr: ast.AST) -> Tuple[Set[str], bool]:
+        """The names ``expr`` reads, and whether it holds a source."""
+        reads: Set[str] = set()
+        sourced = False
         for node in walk(expr):
-            if isinstance(node, ast.Name) and node.id in self.tainted:
-                return True
-            if self._is_source(node):
-                return True
-        return False
+            if isinstance(node, ast.Name):
+                reads.add(node.id)
+            if not sourced:
+                sourced = self._is_source(node)
+        return reads, sourced
 
     # ------------------------------------------------------------------
     def _propagate_once(self) -> bool:
         changed = False
-        for node in scope_walk(self._scope):
-            if isinstance(node, ast.Assign):
-                if self.expr_tainted(node.value):
-                    changed |= self._taint_targets(node.targets)
-            elif isinstance(node, ast.AnnAssign):
-                if node.value is not None and self.expr_tainted(node.value):
-                    changed |= self._taint_targets([node.target])
-            elif isinstance(node, ast.AugAssign):
-                if self.expr_tainted(node.value):
-                    changed |= self._taint_targets([node.target])
-            elif isinstance(node, ast.NamedExpr):
-                if self.expr_tainted(node.value):
-                    changed |= self._taint_targets([node.target])
-            elif isinstance(node, ast.For):
-                if self.expr_tainted(node.iter):
-                    changed |= self._taint_targets([node.target])
-            elif isinstance(node, ast.comprehension):
-                if self.expr_tainted(node.iter):
-                    changed |= self._taint_targets([node.target])
-            elif isinstance(node, ast.withitem):
-                if node.optional_vars is not None and self.expr_tainted(
-                    node.context_expr
-                ):
-                    changed |= self._taint_targets([node.optional_vars])
-        return changed
-
-    def _taint_targets(self, targets: Iterable[ast.expr]) -> bool:
-        changed = False
-        for target in targets:
-            for node in walk(target):
-                if isinstance(node, ast.Name) and node.id not in self.tainted:
-                    self.tainted.add(node.id)
-                    changed = True
+        tainted = self.tainted
+        for reads, sourced, bound in self._sites:
+            if sourced or not tainted.isdisjoint(reads):
+                for name in bound:
+                    if name not in tainted:
+                        tainted.add(name)
+                        changed = True
         return changed
 
 
@@ -264,7 +286,7 @@ def _name_dict_keys(
     seen.add(name)
     keys: Set[str] = set()
     assigned = False
-    for node in scope_walk(scope):
+    for node in scope_walk(scope, (ast.Assign, ast.AnnAssign, ast.Call)):
         if isinstance(node, ast.Assign):
             for target in node.targets:
                 if isinstance(target, ast.Name) and target.id == name:
@@ -356,7 +378,7 @@ def ambient_reads(
         for local, (src, orig) in module.from_imports.items()
         if src in _CLOCK_ATTRS and orig in _CLOCK_ATTRS[src]
     }
-    for node in scope_walk(scope):
+    for node in scope_walk(scope, (ast.Attribute, ast.Name, ast.Call)):
         if isinstance(node, ast.Attribute):
             if node.attr == "environ" and is_module_ref(module, node.value, "os"):
                 yield node, "os.environ"

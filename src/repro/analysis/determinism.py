@@ -37,7 +37,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Tuple
 
-from .core import Finding, ModuleContext, Rule, register, walk
+from .core import Finding, ModuleContext, Rule, nodes, register
 
 __all__ = [
     "InlineRandomImportRule",
@@ -93,8 +93,8 @@ class UnseededRandomRule(Rule):
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         aliases = ctx.module_aliases("random")
         imported = ctx.from_imports("random")
-        for node in walk(ctx.tree):
-            if not isinstance(node, ast.Call) or node.args or node.keywords:
+        for node in nodes(ctx.tree, ast.Call):
+            if node.args or node.keywords:
                 continue
             func = node.func
             is_random_cls = (
@@ -127,9 +127,7 @@ class ModuleRandomCallRule(Rule):
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         aliases = ctx.module_aliases("random")
         imported = ctx.from_imports("random")
-        for node in walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in nodes(ctx.tree, ast.Call):
             func = node.func
             hit = None
             if (
@@ -161,10 +159,8 @@ class InlineRandomImportRule(Rule):
     help_anchor = "pack-1--determinism-det"
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for outer in walk(ctx.tree):
-            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for node in walk(outer):
+        for outer in nodes(ctx.tree, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in nodes(outer, (ast.Import, ast.ImportFrom)):
                 is_inline_import = (
                     isinstance(node, ast.Import)
                     and any(alias.name == "random" for alias in node.names)
@@ -202,9 +198,7 @@ class WallClockRule(Rule):
             for local, orig in ctx.from_imports("datetime").items()
             if orig in ("datetime", "date")
         }
-        for node in walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in nodes(ctx.tree, ast.Call):
             func = node.func
             if (
                 isinstance(func, ast.Attribute)
@@ -249,16 +243,16 @@ class SetIterationRule(Rule):
     )
     help_anchor = "pack-1--determinism-det"
 
+    _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         if not ctx.in_packages(ORDER_SENSITIVE_PACKAGES):
             return
-        for node in walk(ctx.tree):
+        for node in nodes(ctx.tree, (ast.For, ast.AsyncFor) + self._COMPREHENSIONS):
             iters: List[Tuple[ast.AST, ast.expr]] = []
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 iters.append((node, node.iter))
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-            ):
+            else:
                 iters.extend((gen.iter, gen.iter) for gen in node.generators)
             for report_node, iter_expr in iters:
                 if self._is_bare_set(iter_expr):
@@ -302,7 +296,7 @@ class ProcessSpawnRule(Rule):
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         if ctx.in_packages({"exec"}) and ctx.path.name in self.ALLOWED_MODULES:
             return
-        for node in walk(ctx.tree):
+        for node in nodes(ctx.tree, (ast.Import, ast.ImportFrom)):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     name = alias.name
@@ -338,9 +332,7 @@ class ProcessSpawnRule(Rule):
         os_aliases = ctx.module_aliases("os")
         os_imported = ctx.from_imports("os")
         futures_aliases = ctx.module_aliases("concurrent.futures")
-        for node in walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in nodes(ctx.tree, ast.Call):
             func = node.func
             if (
                 isinstance(func, ast.Attribute)

@@ -36,7 +36,7 @@ import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .callgraph import build_callgraph
-from .core import Finding, ProjectRule, register_project, walk
+from .core import Finding, ProjectRule, nodes, register_project
 from .dataflow import (
     ambient_reads,
     call_name,
@@ -71,6 +71,9 @@ _MUTATORS = frozenset(
         "discard",
     }
 )
+
+#: The node types :func:`module_state_writes` inspects.
+_STATE_WRITES = (ast.Name, ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Call)
 
 #: module -> constructor names whose instances do not survive a fork.
 _FORK_UNSAFE = {
@@ -113,8 +116,8 @@ def trial_spec_sites(project: ProjectContext) -> List[TrialSite]:
     sites: List[TrialSite] = []
     for name in sorted(project.modules):
         module = project.modules[name]
-        for node in walk(module.ctx.tree):
-            if not isinstance(node, ast.Call) or call_name(node) != "TrialSpec":
+        for node in nodes(module.ctx.tree, ast.Call):
+            if call_name(node) != "TrialSpec":
                 continue
             fn_expr = positional_or_keyword(node, 0, "fn")
             fn_ref: Optional[str] = None
@@ -133,8 +136,8 @@ def _local_names(fn: ast.AST) -> Set[str]:
     names: Set[str] = set()
     if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
         names |= param_names(fn)
-    for node in scope_walk(fn):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+    for node in scope_walk(fn, ast.Name):
+        if isinstance(node.ctx, ast.Store):
             names.add(node.id)
     return names
 
@@ -160,13 +163,12 @@ def module_state_writes(
     are ignored.
     """
     declared_global: Set[str] = set()
-    for node in scope_walk(fn):
-        if isinstance(node, ast.Global):
-            declared_global.update(node.names)
+    for node in scope_walk(fn, ast.Global):
+        declared_global.update(node.names)
     module_names = set(module.module_assigns) | set(module.import_aliases)
     locals_here = _local_names(fn) - declared_global
 
-    for node in scope_walk(fn):
+    for node in scope_walk(fn, _STATE_WRITES):
         if isinstance(node, ast.Name):
             if isinstance(node.ctx, ast.Store) and node.id in declared_global:
                 yield node, f"rebinds module global '{node.id}'"
@@ -254,10 +256,9 @@ class ForkUnsafeCaptureRule(ProjectRule):
                 continue
             reported: Set[str] = set()
             locals_here = _local_names(info.node)
-            for node in scope_walk(info.node):
+            for node in scope_walk(info.node, ast.Name):
                 if (
-                    isinstance(node, ast.Name)
-                    and isinstance(node.ctx, ast.Load)
+                    isinstance(node.ctx, ast.Load)
                     and node.id in unsafe
                     and node.id not in locals_here
                     and node.id not in reported

@@ -27,7 +27,7 @@ from __future__ import annotations
 import ast
 from typing import AbstractSet, Iterator, Mapping
 
-from .core import Finding, ModuleContext, Rule, register, walk
+from .core import Finding, ModuleContext, Rule, nodes, register
 from .determinism import _GLOBAL_RANDOM_FUNCS
 
 __all__ = ["FlowSamplingRngRule"]
@@ -65,9 +65,7 @@ class FlowSamplingRngRule(Rule):
             return
         aliases = ctx.module_aliases("random")
         imported = ctx.from_imports("random")
-        for node in walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in nodes(ctx.tree, ast.Call):
             finding = self._check_call(ctx, node, aliases, imported)
             if finding is not None:
                 yield finding

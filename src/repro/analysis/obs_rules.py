@@ -43,7 +43,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional, Set
 
-from .core import Finding, ModuleContext, Rule, register, walk
+from .core import Finding, ModuleContext, Rule, nodes, register
 
 __all__ = ["MetricNameLiteralRule", "TraceCategoryLiteralRule"]
 
@@ -87,9 +87,7 @@ class TraceCategoryLiteralRule(Rule):
     help_anchor = "pack-7--observability-obs"
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in nodes(ctx.tree, ast.Call):
             arg = _category_arg(node)
             if arg is None:
                 continue
@@ -198,9 +196,7 @@ class MetricNameLiteralRule(Rule):
         if ctx.path.name == "metrics.py" and "obs" in ctx.path.parts:
             return
         tuple_constants: Optional[Set[str]] = None
-        for node in walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in nodes(ctx.tree, ast.Call):
             primitive = _metric_call(node)
             if primitive is None:
                 continue

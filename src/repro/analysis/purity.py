@@ -77,10 +77,9 @@ class CanonicalPurityRule(ProjectRule):
     def _module_rng_draws(
         self, module: ModuleSymbols, fn: ast.AST
     ) -> Iterator[Tuple[ast.AST, str]]:
-        for node in scope_walk(fn):
+        for node in scope_walk(fn, ast.Call):
             if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
+                isinstance(node.func, ast.Attribute)
                 and is_module_ref(module, node.func.value, "random")
             ):
                 yield node, f"module-level random.{node.func.attr}() draw"

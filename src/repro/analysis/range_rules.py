@@ -37,7 +37,7 @@ import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .constfold import fold_int
-from .core import Finding, ProjectRule, register_project, walk
+from .core import Finding, ProjectRule, nodes, register_project
 from .ranges import (
     _MAX_SHIFT,
     Env,
@@ -218,7 +218,7 @@ def _param_set(info: FunctionInfo) -> Set[str]:
 def _single_assign(node: FunctionNode, name: str) -> Optional[ast.expr]:
     """The sole ``name = <expr>`` value in ``node``, if unique."""
     found: List[ast.expr] = []
-    for stmt in walk(node):
+    for stmt in nodes(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
         if (
             isinstance(stmt, ast.Assign)
             and len(stmt.targets) == 1
@@ -255,9 +255,7 @@ def _is_plan_length(expr: ast.expr, info: FunctionInfo, params: Set[str]) -> boo
 
 
 def _var_free(node: ast.expr, var: str) -> bool:
-    return not any(
-        isinstance(sub, ast.Name) and sub.id == var for sub in walk(node)
-    )
+    return not any(sub.id == var for sub in nodes(node, ast.Name))
 
 
 def _monotone_in(
@@ -306,10 +304,8 @@ def _enclosing_loop_var(node: FunctionNode, stmt: ast.stmt) -> Optional[str]:
     an appended ``var + 1`` frontier monotone across appends.
     """
     result: Optional[str] = None
-    for loop in walk(node):
-        if not isinstance(loop, ast.For):
-            continue
-        if not any(sub is stmt for sub in walk(loop)):
+    for loop in nodes(node, ast.For):
+        if not any(sub is stmt for sub in nodes(loop, type(stmt))):
             continue
         if not (
             isinstance(loop.iter, ast.Call)
@@ -369,6 +365,9 @@ def _comp_first_is_zero(
 #: One bounds-list mutation: (line, kind, statement, value expression).
 _BoundsEvent = Tuple[int, str, ast.stmt, ast.expr]
 
+#: The statements :meth:`PartitionInvariantRule._prove` reads.
+_BOUNDS_EVENTS = (ast.Assign, ast.Expr, ast.AugAssign, ast.AnnAssign)
+
 
 @register_project
 class PartitionInvariantRule(ProjectRule):
@@ -383,9 +382,7 @@ class PartitionInvariantRule(ProjectRule):
         engine = engine_for(project)
         for info in project.functions():
             module = project.modules[info.module]
-            for node in walk(info.node):
-                if not isinstance(node, ast.ListComp):
-                    continue
+            for node in nodes(info.node, ast.ListComp):
                 bounds = _match_partition_comp(node)
                 if bounds is None:
                     continue
@@ -423,7 +420,7 @@ class PartitionInvariantRule(ProjectRule):
         """
         params = _param_set(info)
         events: List[_BoundsEvent] = []
-        for stmt in walk(info.node):
+        for stmt in nodes(info.node, _BOUNDS_EVENTS):
             if (
                 isinstance(stmt, ast.Assign)
                 and len(stmt.targets) == 1
@@ -576,7 +573,7 @@ class DrawHazardRule(ProjectRule):
                 continue
             analysis = engine.analysis_for(info)
             path = module.ctx.display_path
-            for node in walk(info.node):
+            for node in nodes(info.node, (ast.BinOp, ast.Call)):
                 if isinstance(node, ast.BinOp):
                     yield from self._check_binop(project, path, analysis, node)
                 elif isinstance(node, ast.Call):

@@ -68,7 +68,7 @@ from weakref import WeakKeyDictionary
 
 from .callgraph import build_callgraph
 from .constfold import fold_int
-from .core import walk
+from .core import nodes
 from .symbols import FunctionInfo, ProjectContext
 
 __all__ = [
@@ -490,10 +490,21 @@ def _kill_derived(env: Env, root: str) -> Env:
     }
 
 
+#: The nodes :func:`_assigned_names` reads a binding from.
+_BINDERS = (
+    ast.Name,
+    ast.Global,
+    ast.Nonlocal,
+    ast.FunctionDef,
+    ast.AsyncFunctionDef,
+    ast.ClassDef,
+)
+
+
 def _assigned_names(stmts: Iterable[ast.stmt]) -> Set[str]:
     names: Set[str] = set()
     for stmt in stmts:
-        for node in walk(stmt):
+        for node in nodes(stmt, _BINDERS):
             if isinstance(node, ast.Name) and isinstance(
                 node.ctx, (ast.Store, ast.Del)
             ):
@@ -505,6 +516,28 @@ def _assigned_names(stmts: Iterable[ast.stmt]) -> Set[str]:
             ):
                 names.add(node.name)
     return names
+
+
+def _call_roots(node: ast.AST) -> Tuple[str, ...]:
+    """Roots of the values the calls under ``node`` may mutate.
+
+    A method call's receiver, and every bare name passed as an
+    argument, in first-seen order.
+    """
+    roots: Dict[str, None] = {}
+    for call in nodes(node, ast.Call):
+        if isinstance(call.func, ast.Attribute):
+            base = canonical_key(call.func.value)
+            if base is not None:
+                roots[_key_root(base)] = None
+        for arg in call.args:
+            target = arg.value if isinstance(arg, ast.Starred) else arg
+            if isinstance(target, ast.Name):
+                roots[target.id] = None
+        for keyword in call.keywords:
+            if isinstance(keyword.value, ast.Name):
+                roots[keyword.value.id] = None
+    return tuple(roots)
 
 
 # ----------------------------------------------------------------------
@@ -560,6 +593,9 @@ class _Interpreter:
         self.analysis._eval = self._eval
         #: (break_envs, continue_envs) per active loop, innermost last.
         self._loops: List[Tuple[List[Env], List[Env]]] = []
+        #: :func:`_call_roots` per node, read once: loop fixpoints
+        #: revisit every statement of their body.
+        self._roots_of: Dict[ast.AST, Tuple[str, ...]] = {}
 
     # -- expression evaluation -----------------------------------------
     def _eval(self, expr: ast.expr, env: Env) -> Interval:
@@ -832,23 +868,11 @@ class _Interpreter:
         may mutate that object.  Simple name bindings are unaffected —
         Python rebinds names only through assignment.
         """
-        for call in walk(node):
-            if not isinstance(call, ast.Call):
-                continue
-            roots: Set[str] = set()
-            if isinstance(call.func, ast.Attribute):
-                base = canonical_key(call.func.value)
-                if base is not None:
-                    roots.add(_key_root(base))
-            for arg in call.args:
-                target = arg.value if isinstance(arg, ast.Starred) else arg
-                if isinstance(target, ast.Name):
-                    roots.add(target.id)
-            for keyword in call.keywords:
-                if isinstance(keyword.value, ast.Name):
-                    roots.add(keyword.value.id)
-            for root in roots:
-                env = _kill_derived(env, root)
+        roots = self._roots_of.get(node)
+        if roots is None:
+            roots = self._roots_of[node] = _call_roots(node)
+        for root in roots:
+            env = _kill_derived(env, root)
         return env
 
     # -- statements -----------------------------------------------------

@@ -23,42 +23,29 @@ genuine false positive.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-from .core import Finding, ModuleContext, Rule, cached_walk, register, walk
+from .core import Finding, ModuleContext, Rule, nodes, register, scope_order
 
 __all__ = ["DuplicateStreamNameRule", "UnstableStreamNameRule"]
 
 _UNSTABLE_CALLS = frozenset({"id", "hash", "repr"})
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
 
 def _scopes(tree: ast.Module) -> Iterator[ast.AST]:
     yield tree
-    for node in walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
+    yield from nodes(tree, _FUNCTIONS)
 
 
-def _calls_in_scope(scope: ast.AST) -> Iterable[ast.Call]:
+def _calls_in_scope(scope: ast.AST) -> List[ast.Call]:
     """Calls belonging to ``scope``, not to a function nested inside it.
 
-    Memoised on scope nodes, so RNG001 and RNG002 share one pass.
     Unlike :func:`~repro.analysis.dataflow.scope_walk`, it does descend
     into nested lambdas and classes.
     """
-    return cached_walk(scope, "_rng_calls", _scope_calls)
-
-
-def _scope_calls(scope: ast.AST) -> Iterator[ast.Call]:
-    stack: List[ast.AST] = [scope]
-    while stack:
-        node = stack.pop()
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue  # owned by its own scope
-            if isinstance(child, ast.Call):
-                yield child
-            stack.append(child)
+    return scope_order(scope, _FUNCTIONS, ast.Call)
 
 
 def _stream_calls(scope: ast.AST) -> Iterator[Tuple[ast.Call, ast.expr]]:
@@ -138,7 +125,7 @@ class UnstableStreamNameRule(Rule):
                 return f"{arg.func.id}()"
         if not isinstance(arg, ast.JoinedStr):
             return None
-        for node in walk(arg):
+        for node in nodes(arg, (ast.FormattedValue, ast.Call)):
             if isinstance(node, ast.FormattedValue) and node.conversion == ord("r"):
                 return "a !r conversion"
             if (

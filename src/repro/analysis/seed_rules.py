@@ -32,7 +32,7 @@ import ast
 import re
 from typing import Iterator, List, Optional, Set, Tuple, Union
 
-from .core import Finding, ProjectRule, register_project, walk
+from .core import Finding, ProjectRule, nodes, register_project
 from .dataflow import (
     TaintTracker,
     call_name,
@@ -61,6 +61,8 @@ _CHILD_DRAWS = frozenset({"getrandbits", "randint", "randrange"})
 
 ScopeT = Union[ast.Module, ast.FunctionDef, ast.AsyncFunctionDef]
 
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
 
 def _is_seed_source(node: ast.AST) -> bool:
     if isinstance(node, ast.Attribute) and SEED_NAME_RE.search(node.attr):
@@ -76,7 +78,7 @@ def _is_seed_source(node: ast.AST) -> bool:
 
 def _child_scopes(scope: ast.AST) -> Iterator[ScopeT]:
     """Function scopes directly nested in ``scope`` (incl. via classes)."""
-    for node in scope_walk(scope):
+    for node in scope_walk(scope, _DEFINITIONS):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
         elif isinstance(node, ast.ClassDef):
@@ -221,9 +223,7 @@ class CacheKeyCompletenessRule(ProjectRule):
             return  # not statically provable either way: stay silent
         seed_names: Set[str] = set()
         if seed_expr is not None:
-            seed_names = {
-                node.id for node in walk(seed_expr) if isinstance(node, ast.Name)
-            }
+            seed_names = {node.id for node in nodes(seed_expr, ast.Name)}
         fn_expr = positional_or_keyword(spec, 0, "fn")
         fn_label = ast.unparse(fn_expr) if fn_expr is not None else "trial"
         for key in sorted(kwarg_keys - param_keys):
@@ -247,9 +247,7 @@ class CacheKeyCompletenessRule(ProjectRule):
         if not isinstance(cache_expr, ast.Name):
             return None
         candidate: Optional[ast.Call] = None
-        for node in scope_walk(scope):
-            if not isinstance(node, ast.Assign):
-                continue
+        for node in scope_walk(scope, ast.Assign):
             for target in node.targets:
                 if isinstance(target, ast.Name) and target.id == cache_expr.id:
                     value = node.value
@@ -297,18 +295,17 @@ class CacheKeyCompletenessRule(ProjectRule):
                 for arg in kwargs_expr.args:
                     yield from self._kwarg_values(scope, arg, key, _depth + 1)
         elif isinstance(kwargs_expr, ast.Name):
-            for node in scope_walk(scope):
-                if isinstance(node, ast.Assign):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name) and target.id == kwargs_expr.id:
-                            yield from self._kwarg_values(
-                                scope, node.value, key, _depth + 1
-                            )
-                        elif (
-                            isinstance(target, ast.Subscript)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == kwargs_expr.id
-                            and isinstance(target.slice, ast.Constant)
-                            and target.slice.value == key
-                        ):
-                            yield node.value
+            for node in scope_walk(scope, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and target.id == kwargs_expr.id:
+                        yield from self._kwarg_values(
+                            scope, node.value, key, _depth + 1
+                        )
+                    elif (
+                        isinstance(target, ast.Subscript)
+                        and isinstance(target.value, ast.Name)
+                        and target.value.id == kwargs_expr.id
+                        and isinstance(target.slice, ast.Constant)
+                        and target.slice.value == key
+                    ):
+                        yield node.value

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
 
-from .core import ModuleContext, walk
+from .core import ModuleContext, nodes
 
 if TYPE_CHECKING:
     from .callgraph import CallGraph
@@ -158,7 +158,7 @@ def collect_symbols(ctx: ModuleContext, name: Optional[str] = None) -> ModuleSym
             if isinstance(stmt.target, ast.Name) and stmt.value is not None:
                 symbols.module_assigns[stmt.target.id] = stmt.value
 
-    for node in walk(ctx.tree):
+    for node in nodes(ctx.tree, (ast.Import, ast.ImportFrom)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 symbols.import_aliases[alias.asname or alias.name] = alias.name

@@ -36,7 +36,7 @@ import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .constfold import fold_int
-from .core import Finding, ModuleContext, Rule, register, walk
+from .core import Finding, ModuleContext, Rule, nodes, register
 from .ranges import FunctionAnalysis, analyze_function
 
 __all__ = [
@@ -61,16 +61,14 @@ RPC_FRAME_BUDGET_BITS = 8 * RPC_MAX_FRAME_BYTES
 def _functions(tree: ast.Module) -> Iterator[ast.AST]:
     """Module plus every (async) function definition."""
     yield tree
-    for node in walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
+    yield from nodes(tree, (ast.FunctionDef, ast.AsyncFunctionDef))
 
 
 def _bitwriter_names(scope: ast.AST) -> Set[str]:
     """Names assigned from a ``BitWriter(...)`` call within ``scope``."""
     names: Set[str] = set()
-    for node in walk(scope):
-        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
+    for node in nodes(scope, ast.Assign):
+        if len(node.targets) != 1:
             continue
         target = node.targets[0]
         value = node.value
@@ -93,10 +91,9 @@ def _write_calls(
     scope: ast.AST, writers: Set[str]
 ) -> Iterator[Tuple[ast.Call, str]]:
     """``(call, method)`` for ``<writer>.write(...)`` / ``.write_bytes(...)``."""
-    for node in walk(scope):
+    for node in nodes(scope, ast.Call):
         if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
+            isinstance(node.func, ast.Attribute)
             and node.func.attr in ("write", "write_bytes")
             and isinstance(node.func.value, ast.Name)
             and node.func.value.id in writers

@@ -469,8 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--trials", type=_positive_int, default=2)
     rep.add_argument("--duration", type=_positive_float, default=15.0)
     rep.add_argument("--seed", type=int, default=0)
-    # Reports cache by default (under the output directory) so a re-run
-    # only computes what changed; --no-cache opts out.
+    # Reports do not cache unless --cache-dir names a directory.
     _add_exec_flags(rep, default_cache=None)
     rep.set_defaults(func=_cmd_report)
 
@@ -516,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     cch.add_argument("action", choices=("stats", "gc", "purge"))
     cch.add_argument("--cache-dir", default=".repro-cache", metavar="DIR")
     cch.add_argument(
-        "--max-bytes", type=int, default=None, metavar="N",
+        "--max-bytes", type=_non_negative_int, default=None, metavar="N",
         help="with gc: evict least-recently-read entries until the "
         "cache is at most N bytes",
     )

@@ -10,7 +10,10 @@ clean — real violations are fixed, not baselined.
 from __future__ import annotations
 
 import ast
+import gc
 import json
+import re
+import weakref
 from pathlib import Path
 
 import pytest
@@ -23,7 +26,8 @@ from repro.analysis import (
     build_project,
 )
 from repro.analysis.cli import main as lint_main
-from repro.analysis.core import SCOPE_NODES, ModuleContext, walk
+from repro.analysis import core
+from repro.analysis.core import SCOPE_NODES, ModuleContext, nodes, walk
 from repro.analysis.dataflow import scope_walk
 from repro.analysis.rngstreams import _calls_in_scope
 
@@ -576,10 +580,11 @@ class TestProjectCli:
 
 
 # ----------------------------------------------------------------------
-# Cached walks: the same nodes, in the same order, as the uncached ones
+# Index-backed walks: the same nodes, in the same order, as the uncached
+# traversals they replaced
 # ----------------------------------------------------------------------
 def _uncached_scope_walk(root):
-    """``scope_walk`` as it was before it was memoised."""
+    """``scope_walk`` as it was before it read the node index."""
     nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
     stack = [root]
     while stack:
@@ -603,6 +608,21 @@ def _scopes(tree):
     return [node for node in ast.walk(tree) if isinstance(node, SCOPE_NODES)]
 
 
+#: Concrete, abstract and tuple queries, as the rules make them.
+QUERY_KINDS = [
+    ast.Call,
+    ast.Name,
+    ast.Load,
+    ast.FunctionDef,
+    (ast.Import, ast.ImportFrom),
+    (ast.BinOp, ast.Call),
+    ast.stmt,
+    ast.expr,
+    ast.mod,
+    ast.AST,
+]
+
+
 class TestCachedWalks:
     def test_walk_matches_ast_walk_on_every_scope(self, src_trees):
         for path, tree in src_trees.items():
@@ -611,12 +631,24 @@ class TestCachedWalks:
                 assert list(walk(scope)) == expected, (path, scope.lineno)
                 assert list(walk(scope)) == expected, (path, scope.lineno)
 
+    def test_typed_query_matches_filtered_walk_on_every_scope(self, src_trees):
+        for path, tree in src_trees.items():
+            for scope in _scopes(tree):
+                every = list(ast.walk(scope))
+                for kinds in QUERY_KINDS:
+                    expected = [node for node in every if isinstance(node, kinds)]
+                    assert nodes(scope, kinds) == expected, (path, scope, kinds)
+
     def test_scope_walk_matches_uncached_order(self, src_trees):
         for path, tree in src_trees.items():
             for scope in _scopes(tree):
                 expected = list(_uncached_scope_walk(scope))
                 assert list(scope_walk(scope)) == expected, (path, scope.lineno)
                 assert list(scope_walk(scope)) == expected, (path, scope.lineno)
+                for kinds in QUERY_KINDS:
+                    assert scope_walk(scope, kinds) == [
+                        node for node in expected if isinstance(node, kinds)
+                    ], (path, scope, kinds)
 
     def test_rng_scope_calls_match_uncached_order(self, src_trees):
         """RNG001/RNG002's calls-per-scope, which also enters lambdas/classes."""
@@ -635,18 +667,28 @@ class TestCachedWalks:
                         stack.append(child)
                 assert list(_calls_in_scope(scope)) == expected, (path, scope.lineno)
 
-    def test_cached_walks_are_immutable_and_shared(self, src_trees):
-        tree = next(iter(src_trees.values()))
-        for scope in _scopes(tree):
-            for walker in (walk, scope_walk):
-                cached = walker(scope)
-                assert isinstance(cached, tuple)
-                assert walker(scope) is cached
+    def test_one_index_per_module_freed_with_the_tree(self):
+        tree = ast.parse("def f(a):\n    return g(a)\n")
+        function = tree.body[0]
+        assert tree not in core._INDEXES  # built by the first query
+        assert [call.func.id for call in nodes(tree, ast.Call)] == ["g"]
+        index = core._INDEXES[tree]
+        assert function in index.scopes  # answers the function's queries
+        assert nodes(function, ast.Call) == nodes(tree, ast.Call)
+        assert core._INDEXES[tree] is index
+        assert tree not in index.order  # the module is the weak key
+        gone = weakref.ref(index)
+        del tree, function, index
+        gc.collect()
+        assert gone() is None
 
     def test_non_scope_nodes_are_walked_afresh(self):
         expr = ast.parse("f(a + b)").body[0]
-        assert not isinstance(walk(expr), tuple)
+        indexed = len(core._INDEXES)
+        assert walk(expr) == list(ast.walk(expr))
         assert [type(n).__name__ for n in walk(expr)][:3] == ["Expr", "Call", "Name"]
+        assert nodes(expr, ast.Name) == [n for n in ast.walk(expr) if isinstance(n, ast.Name)]
+        assert len(core._INDEXES) == indexed
 
     def test_callgraph_is_built_once_per_project(self, tmp_path):
         project = project_for(
@@ -657,11 +699,14 @@ class TestCachedWalks:
         assert graph.callees("mod.a") == {"mod.b"}
 
     def test_only_the_walk_module_calls_ast_walk(self):
+        """No rule grows a private traversal: every walk reads the index."""
         analysis = SRC_ROOT / "repro" / "analysis"
         callers = sorted(
             path.relative_to(analysis).as_posix()
             for path in analysis.rglob("*.py")
-            if "ast.walk" in path.read_text(encoding="utf-8")
+            if re.search(
+                r"ast\.(walk|iter_child_nodes)\b", path.read_text(encoding="utf-8")
+            )
         )
         assert callers == ["core.py"]
 

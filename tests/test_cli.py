@@ -285,6 +285,9 @@ class TestCountsBelowOne:
                          id="model-static-bits"),
             pytest.param(["model", "--density", "0"], POSITIVE,
                          id="model-density"),
+            pytest.param(["cache", "gc", "--max-bytes", "-1",
+                          "--cache-dir", "unused-cache"], NEGATIVE,
+                         id="cache-gc-max-bytes"),
         ],
     )
     def test_exit_two(self, argv, message, capsys):

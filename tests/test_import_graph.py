@@ -173,3 +173,20 @@ def test_runs_import_nothing_their_setup_did_not():
         print(json.dumps(sorted(set(sys.modules) - before)))
     """)
     assert new == []
+
+
+def test_lint_setup_loads_no_rule_pack():
+    # The perfbench ``lint_tree`` set-up import, timed as ``setup_s``: the
+    # rule packs and the dataflow engine load on the first registry read
+    # of a run, and the node index is built by a run's first query.
+    loaded = loaded_after("from repro.analysis import core, ranges")
+    assert {m for m in loaded if m.startswith("repro")} == {
+        "repro",
+        "repro._lazy",
+        "repro.analysis",
+        "repro.analysis.callgraph",
+        "repro.analysis.constfold",
+        "repro.analysis.core",
+        "repro.analysis.ranges",
+        "repro.analysis.symbols",
+    }
